@@ -5,20 +5,24 @@
 //! DP grids) are carved out with [`Communicator::split`], which follows
 //! `MPI_Comm_split` semantics.
 //!
-//! The tensor collectives come in two flavors:
+//! Every collective is a round on the group's chunked engine
+//! ([`crate::nonblocking`]), on both transports:
 //!
 //! * **Nonblocking** (`iall_reduce_sum`, `ireduce_scatter_sum`,
 //!   `iall_gather_cat`) — issue a [`CommRequest`] immediately and let the
-//!   caller overlap compute with the chunked pipeline
-//!   ([`crate::nonblocking`]).
+//!   caller overlap compute with the chunked pipeline.
 //! * **Blocking** (`all_reduce_sum`, …) — thin `issue + wait` wrappers over
 //!   the same engine, kept for call sites with nothing to overlap.
+//! * **Derived** — `all_gather_vec` and `broadcast` are axis-0 gathers of
+//!   one-row views (only the root contributes a row to a broadcast),
+//!   `barrier` is a zero-element round, and `split` exchanges colours
+//!   through one gather.
 //!
 //! All reductions are performed in rank order within every chunk, so
 //! results are bit-identical across ranks, across runs, and across the
 //! blocking/nonblocking flavors.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -30,7 +34,7 @@ use dchag_tensor::Tensor;
 
 use crate::transport;
 
-use crate::fault::CommError;
+use crate::fault::{comm_panic, CommError};
 use crate::nonblocking::{self, CollKind, CommPrecision, CommRequest};
 use crate::thread_comm::CommCore;
 use crate::topology::Topology;
@@ -57,13 +61,24 @@ struct RegroupBoard {
     departed: usize,
 }
 
+/// One entry of the world's core registry.
+struct Registered {
+    core: Weak<CommCore>,
+    /// Ranks that were already on the failure roster, and not members,
+    /// when the core was built. A death notice for one of them is stale
+    /// for this core (the survivors built it without that rank), so it
+    /// must not poison it.
+    stale_deaths: BTreeSet<usize>,
+}
+
 /// State shared by every communicator of one world: the traffic log, the
-/// physical topology, a registry of live cores (for panic poisoning), and
-/// the failure/regroup bookkeeping.
+/// physical topology, a registry of live cores by group id (members find
+/// their group's core there, and panics poison through it), and the
+/// failure/regroup bookkeeping.
 pub struct WorldShared {
     pub log: Arc<TrafficLog>,
     pub topo: Topology,
-    cores: Mutex<Vec<Weak<CommCore>>>,
+    cores: Mutex<HashMap<u64, Registered>>,
     /// Global ranks known dead (marked by the launcher on panic, or by the
     /// regroup deadline on no-show). Grows monotonically for the world's
     /// lifetime — a declared-dead rank never rejoins.
@@ -80,7 +95,7 @@ impl WorldShared {
         Arc::new(WorldShared {
             log: TrafficLog::new(),
             topo,
-            cores: Mutex::new(Vec::new()),
+            cores: Mutex::new(HashMap::new()),
             failed: Mutex::new(BTreeSet::new()),
             epoch: AtomicU64::new(0),
             board: Mutex::new(RegroupBoard::default()),
@@ -88,16 +103,41 @@ impl WorldShared {
         })
     }
 
-    pub fn register_core(&self, core: &Arc<CommCore>) {
-        self.cores.lock().push(Arc::downgrade(core));
+    /// The core of group `gid` with global `members`: the live one if a
+    /// member already built it, else a fresh one, registered for
+    /// poisoning. Every member of a group derives the same `gid`, so on
+    /// the thread transport they all land on one shared core; a TCP
+    /// process hosts only itself, so it always builds its own replica.
+    pub(crate) fn group_core(&self, gid: u64, members: &[usize]) -> Arc<CommCore> {
+        // Lock order: failed, released, then cores.
+        let stale_deaths: BTreeSet<usize> =
+            self.failed.lock().iter().copied().filter(|r| !members.contains(r)).collect();
+        let mut cores = self.cores.lock();
+        if let Some(core) = cores.get(&gid).and_then(|e| e.core.upgrade()) {
+            return core;
+        }
+        cores.retain(|_, e| e.core.strong_count() > 0);
+        let core = CommCore::new(members.len(), gid);
+        cores.insert(gid, Registered { core: Arc::downgrade(&core), stale_deaths });
+        core
     }
 
     /// Poison every live core with `cause` so blocked peers fail fast
     /// instead of hanging, and mark all their in-flight rounds aborted in
     /// the traffic log (their partial chunk stamps must not skew α-β fits).
+    /// A `PeerFailed` notice skips cores built after that rank was already
+    /// declared dead: they exclude it, and poisoning them would kill the
+    /// survivors' fresh world.
     pub fn poison_all(&self, cause: CommError) {
-        for core in self.cores.lock().iter() {
-            if let Some(c) = core.upgrade() {
+        let dead = match cause {
+            CommError::PeerFailed { rank, .. } => Some(rank),
+            _ => None,
+        };
+        for e in self.cores.lock().values() {
+            if dead.is_some_and(|r| e.stale_deaths.contains(&r)) {
+                continue;
+            }
+            if let Some(c) = e.core.upgrade() {
                 c.poison(cause);
                 c.engine().abort_inflight(&self.log);
             }
@@ -179,14 +219,13 @@ impl WorldShared {
             if expected.iter().all(|r| board.arrived.contains(r)) {
                 // Everyone live is here — whoever holds the lock builds (the
                 // mutex serializes; no designated-builder election needed).
-                let core = CommCore::new(expected.len());
-                self.register_core(&core);
+                let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+                let core = self.group_core(transport::gid_world(epoch), &expected);
                 for r in &expected {
                     board.arrived.remove(r);
                 }
                 board.built = Some((board.round, expected, core));
                 board.round += 1;
-                self.epoch.fetch_add(1, Ordering::SeqCst);
                 self.board_cv.notify_all();
                 continue;
             }
@@ -213,10 +252,12 @@ pub struct Communicator {
     group_ranks: Vec<usize>,
     core: Arc<CommCore>,
     world: Arc<WorldShared>,
-    /// Wire precision for the chunked nonblocking collectives issued
-    /// through this handle (exchange-path collectives move `Arc` clones and
-    /// are unaffected). Handles of the same group may only mix precisions
-    /// if every rank still issues each *collective* with the same one.
+    /// Wire precision for the tensor collectives issued through this handle
+    /// (`all_reduce_sum`, `reduce_scatter_sum`, `all_gather_cat` and their
+    /// `i*`/`try_*` flavors). `broadcast`, `barrier`, `all_gather_vec` and
+    /// `split` always run on an f32 wire: they carry exact values. Handles
+    /// of the same group may only mix precisions if every rank still issues
+    /// each *collective* with the same one.
     precision: CommPrecision,
     /// TCP transport send side, when this group spans real sockets: every
     /// local contribution is additionally fanned out to the remote members,
@@ -226,34 +267,21 @@ pub struct Communicator {
 }
 
 impl Communicator {
-    /// Used by the launcher to build the world group.
-    pub(crate) fn new_world(rank: usize, size: usize, core: Arc<CommCore>, world: Arc<WorldShared>) -> Self {
-        Communicator {
-            rank,
-            group_ranks: (0..size).collect(),
-            core,
-            world,
-            precision: CommPrecision::F32,
-            remote: None,
-        }
-    }
-
-    /// Used by the TCP launcher: the same world group, but with a transport
-    /// link fanning local contributions out to the remote replicas.
-    pub(crate) fn new_tcp_world(
+    /// Used by the launchers to build the world group (`link` is the TCP
+    /// send side, `None` on the thread transport).
+    pub(crate) fn new_world(
         rank: usize,
-        size: usize,
         core: Arc<CommCore>,
         world: Arc<WorldShared>,
-        link: Arc<transport::GroupLink>,
+        link: Option<Arc<transport::GroupLink>>,
     ) -> Self {
         Communicator {
             rank,
-            group_ranks: (0..size).collect(),
+            group_ranks: (0..core.size()).collect(),
             core,
             world,
             precision: CommPrecision::F32,
-            remote: Some(link),
+            remote: link,
         }
     }
 
@@ -326,41 +354,53 @@ impl Communicator {
         }
     }
 
-    fn issue(&self, kind: CollKind, t: &Tensor) -> CommRequest {
-        // The logical payload reflects what this wire actually carries: a
-        // bf16 wire halves the sendbuf bytes (the α-β fit and per-op byte
-        // totals read this).
-        let seq = self.record(kind.op(), t.numel() * self.precision.elem_bytes());
-        let req = nonblocking::issue(
-            &self.core,
-            self.rank,
-            kind,
-            self.precision,
-            t,
-            seq,
-            self.world.log.clone(),
-        );
-        if let Some(link) = &self.remote {
-            link.send_issue(req.seq(), kind, self.precision, t);
-        }
-        req
-    }
-
-    fn try_issue(&self, kind: CollKind, t: &Tensor) -> Result<CommRequest, CommError> {
-        let seq = self.record(kind.op(), t.numel() * self.precision.elem_bytes());
+    /// Deposit `t` into this group's next engine round — locally, and on
+    /// TCP to every remote member too. `event_seq` is the traffic-log entry
+    /// the round's chunk events are attributed to.
+    fn deposit(
+        &self,
+        kind: CollKind,
+        precision: CommPrecision,
+        t: &Tensor,
+        event_seq: Option<usize>,
+    ) -> Result<CommRequest, CommError> {
         let req = nonblocking::try_issue(
             &self.core,
             self.rank,
             kind,
-            self.precision,
+            precision,
             t,
-            seq,
+            event_seq,
             self.world.log.clone(),
         )?;
         if let Some(link) = &self.remote {
-            link.send_issue(req.seq(), kind, self.precision, t);
+            link.send_issue(req.seq(), kind, precision, t);
         }
         Ok(req)
+    }
+
+    fn try_issue(&self, kind: CollKind, t: &Tensor) -> Result<CommRequest, CommError> {
+        // The logical payload reflects what this wire actually carries: a
+        // bf16 wire halves the sendbuf bytes (the α-β fit and per-op byte
+        // totals read this).
+        let seq = self.record(kind.op(), t.numel() * self.precision.elem_bytes());
+        self.deposit(kind, self.precision, t, seq)
+    }
+
+    fn issue(&self, kind: CollKind, t: &Tensor) -> CommRequest {
+        self.try_issue(kind, t).unwrap_or_else(|e| comm_panic(e))
+    }
+
+    /// Axis-0 gather of one row per contributing rank: `t` viewed as
+    /// `[1, …dims]` if `contribute`, else a zero-row `[0, …dims]` tensor.
+    /// The shared shape of `all_gather_vec`, `broadcast` and `split`.
+    fn gather_rows(&self, t: &Tensor, contribute: bool, event_seq: Option<usize>) -> Tensor {
+        let mut dims = vec![usize::from(contribute)];
+        dims.extend_from_slice(t.dims());
+        let row = if contribute { t.reshape(&dims) } else { Tensor::zeros(dims.as_slice()) };
+        self.deposit(CollKind::AllGatherCat { axis: 0 }, CommPrecision::F32, &row, event_seq)
+            .and_then(|req| req.try_wait(None))
+            .unwrap_or_else(|e| comm_panic(e))
     }
 
     // ----- nonblocking collectives ------------------------------------------
@@ -394,16 +434,14 @@ impl Communicator {
     // ----- blocking collectives ---------------------------------------------
 
     /// Gather each rank's tensor; returns all contributions in rank order.
-    /// (Exchange path: payloads move by `Arc` clone, no chunk pipeline.)
+    /// Every rank must pass the same shape (one engine gather of one-row
+    /// views, split back into rows).
     pub fn all_gather_vec(&self, t: &Tensor) -> Vec<Tensor> {
-        self.record(CollOp::AllGather, t.size_bytes());
-        if let Some(link) = &self.remote {
-            link.send_exchange(transport::ExchangePayload::Tensor(t));
-        }
-        let out = self.core.exchange(self.rank, Box::new(t.clone()));
-        self.exchange_complete();
-        out.iter()
-            .map(|p| p.downcast_ref::<Tensor>().expect("tensor payload").clone())
+        let seq = self.record(CollOp::AllGather, t.size_bytes());
+        let rows = self.gather_rows(t, true, seq);
+        let n = t.numel();
+        (0..self.size())
+            .map(|r| Tensor::from_vec(rows.data()[r * n..(r + 1) * n].to_vec(), t.shape().clone()))
             .collect()
     }
 
@@ -428,27 +466,19 @@ impl Communicator {
         self.ireduce_scatter_sum(t).wait()
     }
 
-    /// Broadcast from `root`: only the root's tensor is used; other ranks may
-    /// pass anything shaped arbitrarily (conventionally their stale copy).
+    /// Broadcast from `root`: only the root's values are used, but every
+    /// rank must pass a tensor of the root's shape (conventionally its
+    /// stale copy). An engine gather to which only the root contributes a
+    /// row.
     pub fn broadcast(&self, t: &Tensor, root: usize) -> Tensor {
         assert!(root < self.size());
-        self.record(CollOp::Broadcast, t.size_bytes());
-        if let Some(link) = &self.remote {
-            link.send_exchange(transport::ExchangePayload::Tensor(t));
-        }
-        let out = self.core.exchange(self.rank, Box::new(t.clone()));
-        self.exchange_complete();
-        out[root].downcast_ref::<Tensor>().unwrap().clone()
+        let seq = self.record(CollOp::Broadcast, t.size_bytes());
+        self.gather_rows(t, self.rank == root, seq).reshape(t.dims())
     }
 
     /// Synchronization barrier.
     pub fn barrier(&self) {
-        self.record(CollOp::Barrier, 0);
-        if let Some(link) = &self.remote {
-            link.send_exchange(transport::ExchangePayload::Unit);
-        }
-        let _ = self.core.exchange(self.rank, Box::new(()));
-        self.exchange_complete();
+        self.try_barrier(None).unwrap_or_else(|e| comm_panic(e))
     }
 
     // ----- fallible collectives ---------------------------------------------
@@ -491,24 +521,14 @@ impl Communicator {
         self.try_issue(CollKind::AllGatherCat { axis }, t)?.try_wait(deadline)
     }
 
-    /// Fallible, deadline-bounded [`Communicator::barrier`].
+    /// Fallible, deadline-bounded [`Communicator::barrier`]: a zero-element
+    /// engine round, so it moves no bytes and completes the moment the
+    /// last rank arrives.
     pub fn try_barrier(&self, deadline: Option<Duration>) -> Result<(), CommError> {
-        self.record(CollOp::Barrier, 0);
-        if let Some(link) = &self.remote {
-            link.send_exchange(transport::ExchangePayload::Unit);
-        }
-        let out = self.core.try_exchange(self.rank, Box::new(()), deadline).map(|_| ());
-        if out.is_ok() {
-            self.exchange_complete();
-        }
-        out
-    }
-
-    /// Mark the outstanding exchange-path send consumed (TCP transport).
-    fn exchange_complete(&self) {
-        if let Some(link) = &self.remote {
-            link.exchange_complete();
-        }
+        let seq = self.record(CollOp::Barrier, 0);
+        self.deposit(CollKind::AllReduceSum, CommPrecision::F32, &Tensor::zeros([0]), seq)?
+            .try_wait(deadline)
+            .map(|_| ())
     }
 
     // ----- elastic regroup --------------------------------------------------
@@ -572,72 +592,40 @@ impl Communicator {
 
     /// Split the group: members passing the same `color` form a new group,
     /// ordered by their rank in the parent group (`MPI_Comm_split` with
-    /// key = parent rank).
+    /// key = parent rank). `color` must be below 2^24.
     pub fn split(&self, color: usize) -> Communicator {
-        // Phase 1: everyone shares its color.
-        if let Some(link) = &self.remote {
-            link.send_exchange(transport::ExchangePayload::Num(color as u64));
-        }
-        let colors = self.core.exchange(self.rank, Box::new(color));
-        self.exchange_complete();
-        let colors: Vec<usize> = colors
-            .iter()
-            .map(|p| *p.downcast_ref::<usize>().unwrap())
-            .collect();
-
-        let members: Vec<usize> = (0..self.size()).filter(|&r| colors[r] == color).collect();
-        let my_new_rank = members.iter().position(|&r| r == self.rank).unwrap();
-        let leader = members[0];
-
-        if let Some(link) = &self.remote {
-            // Phase 2 (TCP): no publish round needed — every member derives
-            // the same split group id locally (parent gid × split counter ×
-            // color) and builds its own full-size replica core.
-            let split_seq = link.next_split_seq();
-            let gid = transport::gid_split(link.gid(), split_seq, color as u64);
-            let core = if members.len() == 1 {
-                CommCore::new(1)
-            } else {
-                CommCore::new_remote(members.len())
-            };
-            self.world.register_core(&core);
-            let group_ranks: Vec<usize> =
-                members.iter().map(|&r| self.group_ranks[r]).collect();
-            let sub_link =
-                link.endpoint().register_group(gid, group_ranks.clone(), my_new_rank, core.clone());
-            return Communicator {
-                rank: my_new_rank,
-                group_ranks,
-                core,
-                world: self.world.clone(),
-                precision: self.precision,
-                remote: Some(sub_link),
-            };
-        }
-
-        // Phase 2: each color's leader creates and publishes the new core.
-        let contribution: Option<Arc<CommCore>> = if self.rank == leader {
-            let core = CommCore::new(members.len());
-            self.world.register_core(&core);
-            Some(core)
-        } else {
-            None
-        };
-        let published = self.core.exchange(self.rank, Box::new(contribution));
-        let new_core = published[leader]
-            .downcast_ref::<Option<Arc<CommCore>>>()
-            .unwrap()
-            .clone()
-            .expect("leader published a core");
-
+        // Phase 1: everyone shares its colour through one engine gather
+        // (colours travel as f32, exact below 2^24).
+        assert!(color < 1 << 24, "split colour {color} must be below 2^24 (exact in f32)");
+        let mine = Tensor::from_vec(vec![color as f32], [1]);
+        let req = self
+            .deposit(CollKind::AllGatherCat { axis: 0 }, CommPrecision::F32, &mine, None)
+            .unwrap_or_else(|e| comm_panic(e));
+        let split_seq = req.seq();
+        let colors = req.wait();
+        let members: Vec<usize> =
+            (0..self.size()).filter(|&r| colors.at(r) as usize == color).collect();
+        let rank = members.iter().position(|&r| r == self.rank).unwrap();
         let group_ranks: Vec<usize> = members.iter().map(|&r| self.group_ranks[r]).collect();
+
+        // Phase 2: no publish round — every member derives the same group
+        // id (parent id × the colour round's engine sequence, identical on
+        // every member × colour) and looks the core up by it. Thread ranks
+        // share the first builder's core; a TCP process builds its own
+        // full-size replica and registers the group's frame route.
+        let gid = transport::gid_split(self.core.gid(), split_seq, color as u64);
+        let core = self.world.group_core(gid, &group_ranks);
+        let remote = self
+            .remote
+            .as_ref()
+            .map(|link| link.endpoint().register_group(group_ranks.clone(), rank, core.clone()));
         Communicator {
-            rank: my_new_rank,
+            rank,
             group_ranks,
-            core: new_core,
+            core,
             world: self.world.clone(),
             precision: self.precision,
-            remote: None,
+            remote,
         }
     }
 }

@@ -20,9 +20,9 @@ use dchag_tensor::device::{set_tracker, MemCounter};
 
 use crate::fault::{self, comm_error_of, CommError, FaultPlan};
 use crate::group::{Communicator, WorldShared};
-use crate::thread_comm::CommCore;
 use crate::topology::Topology;
 use crate::traffic::TrafficLog;
+use crate::transport::gid_world;
 
 /// Per-rank execution context handed to the rank closure.
 pub struct RankCtx {
@@ -70,15 +70,14 @@ where
     let world_size = topo.world_size;
     assert!(world_size > 0);
     let world = WorldShared::new(topo);
-    let core = CommCore::new(world_size);
-    world.register_core(&core);
+    let core = world.group_core(gid_world(0), &(0..world_size).collect::<Vec<_>>());
     let traffic = world.log.clone();
     let mems: Vec<Arc<MemCounter>> = (0..world_size).map(|_| MemCounter::new()).collect();
 
     let results: Vec<std::thread::Result<T>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..world_size)
             .map(|rank| {
-                let comm = Communicator::new_world(rank, world_size, core.clone(), world.clone());
+                let comm = Communicator::new_world(rank, core.clone(), world.clone(), None);
                 let mem = mems[rank].clone();
                 let world = world.clone();
                 let point = plan.for_rank(rank);

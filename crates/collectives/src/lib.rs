@@ -3,7 +3,7 @@
 //! Simulated multi-rank communication substrate for the D-CHAG
 //! reproduction: OS threads stand in for GPUs, and NCCL/RCCL-style
 //! collectives (AllGather, AllReduce, ReduceScatter, Broadcast, Barrier) are
-//! deterministic rendezvous exchanges.
+//! deterministic rounds of one chunked engine.
 //!
 //! What is preserved from the real thing:
 //! * collective *semantics* — what data every rank contributes and receives;
@@ -14,9 +14,9 @@
 //!   topology), which is how tests assert the paper's "no backward-pass
 //!   communication" claim.
 //!
-//! What is intentionally different: transport. Payloads move by `Arc` clone
-//! through shared memory; the analytical α-β cost model in `dchag-perf` is
-//! responsible for timing, not this crate.
+//! What is intentionally different: transport. Thread ranks share memory
+//! (loopback TCP is the real-socket alternative); the analytical α-β cost
+//! model in `dchag-perf` is responsible for timing, not this crate.
 //!
 //! Failure is a first-class citizen (see the crate README's "Failure
 //! model"): every blocking primitive has a fallible, deadline-bounded
@@ -195,6 +195,49 @@ mod tests {
         for (intra, inter) in run.outputs {
             assert!(intra);
             assert!(!inter);
+        }
+    }
+
+    #[test]
+    fn fault_late_death_notice_spares_cores_built_without_that_rank() {
+        // Survivors {0,3} build their new core after rank 2 is on the
+        // failure roster; rank 2's launcher poisons late. That notice must
+        // not reach the new core — but a member's death still does.
+        let world = WorldShared::new(Topology::frontier(4));
+        let old = world.group_core(transport::gid_world(0), &[0, 1, 2, 3]);
+        world.mark_failed(1);
+        world.mark_failed(2);
+        let fresh = world.group_core(transport::gid_world(1), &[0, 3]);
+        world.poison_all(CommError::PeerFailed { rank: 2, epoch: 0 });
+        assert!(old.engine().check_live().is_err(), "the old world includes rank 2");
+        assert!(fresh.engine().check_live().is_ok(), "a stale notice poisoned the new world");
+        world.poison_all(CommError::PeerFailed { rank: 3, epoch: 1 });
+        assert_eq!(
+            fresh.engine().check_live(),
+            Err(CommError::PeerFailed { rank: 3, epoch: 1 })
+        );
+    }
+
+    #[test]
+    fn repeated_split_with_same_colours_builds_independent_groups() {
+        // Each split derives its own group id, so two splits into the same
+        // colours are different groups: ranks may drive them in different
+        // orders (a shared core would pair rank 0's [3] with rank 1's [5]).
+        let run = run_ranks(4, |ctx| {
+            let a = ctx.comm.split(ctx.comm.rank() / 2);
+            let b = ctx.comm.split(ctx.comm.rank() / 2);
+            let (ra, rb) = if a.rank() == 0 {
+                let ra = a.iall_reduce_sum(&Tensor::ones([3]));
+                (ra, b.iall_reduce_sum(&Tensor::ones([5])))
+            } else {
+                let rb = b.iall_reduce_sum(&Tensor::ones([5]));
+                (a.iall_reduce_sum(&Tensor::ones([3])), rb)
+            };
+            (ra.wait().to_vec(), rb.wait().to_vec())
+        });
+        for (a, b) in run.outputs {
+            assert_eq!(a, vec![2.0; 3]);
+            assert_eq!(b, vec![2.0; 5]);
         }
     }
 

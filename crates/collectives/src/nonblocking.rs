@@ -1,9 +1,8 @@
-//! Nonblocking chunked collectives: the comm/compute-overlap engine.
+//! Nonblocking chunked collectives: the engine every collective runs on.
 //!
-//! The blocking rendezvous in [`crate::thread_comm`] stalls every rank at
-//! each collective — the overlap gap the cross-cloud training literature
-//! attacks with chunked pipelining. This module replaces the rendezvous
-//! *data path* with an issue/wait protocol:
+//! A blocking exchange stalls every rank at each collective — the overlap
+//! gap the cross-cloud training literature attacks with chunked
+//! pipelining. This engine is an issue/wait protocol instead:
 //!
 //! * `issue` deposits this rank's contribution and returns a [`CommRequest`]
 //!   immediately — the caller keeps computing;
@@ -14,20 +13,20 @@
 //!   with an atomic counter and reduce/copy them cooperatively, so the
 //!   reduction of a bucket proceeds while other ranks are still computing —
 //!   and is performed **once** across the group instead of redundantly per
-//!   rank as the rendezvous path did.
+//!   rank.
 //!
 //! Reductions walk contributions in rank order within every chunk, and the
 //! chunk schedule depends only on the tensor shape — never on thread count
-//! or timing — so results are bitwise identical to the blocking path at any
-//! parallelism. Every completed chunk stamps a
-//! [`crate::traffic::ChunkEvent`] (ready/done timestamps + ring-model wire
-//! bytes), which is how the overlap fraction is *measured* rather than
-//! assumed.
+//! or timing — so results are bitwise identical at any parallelism. Every
+//! completed chunk stamps a [`crate::traffic::ChunkEvent`] (ready/done
+//! timestamps + ring-model wire bytes), which is how the overlap fraction
+//! is *measured* rather than assumed. A zero-element round (a barrier) has
+//! no chunks: it completes the moment its last rank deposits.
 //!
 //! Collectives are matched across ranks by a per-rank issue counter: the
-//! i-th nonblocking collective issued on a communicator must be the same
-//! logical collective on every rank (the SPMD invariant the blocking path
-//! already relied on); kind and shape are validated at deposit time.
+//! i-th collective issued on a communicator must be the same logical
+//! collective on every rank (the SPMD invariant); kind and shape are
+//! validated at deposit time.
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
@@ -182,8 +181,7 @@ struct Frozen {
     /// Flat start offset of each rank's region in the gather output.
     gather_offsets: Vec<usize>,
     /// Rank-identical results (all-reduce, all-gather) are materialized
-    /// once by the first finisher and `Arc`-cloned by the rest — the same
-    /// shared-memory transport the exchange path uses.
+    /// once by the first finisher and `Arc`-cloned by the rest.
     result: OnceLock<Tensor>,
     ready_us: f64,
 }
@@ -328,22 +326,6 @@ pub struct CommRequest {
     retired: bool,
 }
 
-/// Panicking wrapper over [`try_issue`] (poison surfaces as a typed
-/// [`crate::fault::CommPanic`] unwind).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn issue(
-    core: &Arc<CommCore>,
-    rank: usize,
-    kind: CollKind,
-    precision: CommPrecision,
-    t: &Tensor,
-    event_seq: Option<usize>,
-    log: Arc<TrafficLog>,
-) -> CommRequest {
-    try_issue(core, rank, kind, precision, t, event_seq, log)
-        .unwrap_or_else(|e| fault::comm_panic(e))
-}
-
 /// Deposit `t` as `rank`'s contribution to its next collective on this core
 /// and return the request handle. `event_seq` attributes chunk events to the
 /// logical traffic-log entry (recorded by group rank 0). Fails if the group
@@ -363,8 +345,13 @@ pub(crate) fn try_issue(
     let engine = core.engine();
     let group = core.size();
     let mut st = engine.state.lock();
-    engine.check_live()?;
     let seq = st.next_seq[rank];
+    if let Err(e) = engine.check_live() {
+        // Detection at issue time belongs on the audit trail just like
+        // detection inside a wait (`CommRequest::fail`).
+        log.record_fault(format!("rank {rank} detected at issue of collective #{seq}: {e}"));
+        return Err(e);
+    }
     st.next_seq[rank] += 1;
 
     let entry = st.rounds.entry(seq).or_insert_with(|| RoundEntry {
@@ -408,7 +395,7 @@ pub(crate) fn try_issue(
     let round = entry.shared.clone();
     if entry.arrived == group {
         let contribs: Vec<Tensor> = entry.contribs.iter_mut().map(|c| c.take().unwrap()).collect();
-        freeze(&round, contribs, log.now_us());
+        freeze(&mut st, &round, contribs, log.now_us());
         engine.cv.notify_all();
     }
     drop(st);
@@ -485,7 +472,7 @@ pub(crate) fn deposit_remote(
     let fully_retired = entry.retired == group;
     if entry.arrived == group {
         let contribs: Vec<Tensor> = entry.contribs.iter_mut().map(|c| c.take().unwrap()).collect();
-        freeze(&round, contribs, log.now_us());
+        freeze(&mut st, &round, contribs, log.now_us());
         engine.cv.notify_all();
     }
     if fully_retired {
@@ -529,7 +516,7 @@ fn validate_contribution(kind: CollKind, group: usize, existing: &[Option<Tensor
 
 /// Build the shape-derived chunk schedule and the output buffer; publish the
 /// round as runnable. Called under the engine lock by the last depositor.
-fn freeze(round: &Arc<Round>, contribs: Vec<Tensor>, ready_us: f64) {
+fn freeze(st: &mut EngineState, round: &Arc<Round>, contribs: Vec<Tensor>, ready_us: f64) {
     // One read per round: every rank that helps run this collective works
     // off the schedule frozen here, so a planner swapping the chunk size
     // concurrently can never split one round across two granularities.
@@ -577,7 +564,12 @@ fn freeze(round: &Arc<Round>, contribs: Vec<Tensor>, ready_us: f64) {
         .set(frozen)
         .unwrap_or_else(|_| unreachable!("round frozen twice"));
     if n_chunks == 0 {
+        // Complete at freeze (a barrier, or a gather of zero rows): every
+        // rank has deposited and holds the round, so its bookkeeping entry
+        // has nothing left to do — release it now rather than at the last
+        // retire, so a barrier never shows up in `rounds_len`.
         round.complete.store(true, Ordering::Release);
+        st.rounds.remove(&round.seq);
     }
 }
 
@@ -605,8 +597,8 @@ fn run_chunk(round: &Round, frozen: &Frozen, c: &Chunk) {
             // Decode-and-reduce: each rank's contribution takes the value
             // it carried across the wire (identity for f32, a bf16 round
             // trip for the half-width wire), then plain f32 adds in rank
-            // order — bitwise identical to the rendezvous path's
-            // whole-tensor `ops::add` chain on the same wire values.
+            // order — bitwise identical to a whole-tensor `ops::add` chain
+            // on the same wire values.
             let first = &frozen.contribs[0].data()[c.src_off..c.src_off + c.len];
             for (o, &x) in out.iter_mut().zip(first) {
                 *o = p.decode_sent(x);
@@ -679,8 +671,9 @@ fn try_progress(core: &CommCore, log: &TrafficLog, max: usize) -> bool {
 
 impl CommRequest {
     /// Engine sequence number of this request's round (the per-rank issue
-    /// counter value) — a socket transport stamps it on the wire so the
-    /// receiving side can cross-check SPMD order.
+    /// counter value, identical on every member for the same collective) —
+    /// a socket transport stamps it on the wire so the receiving side can
+    /// cross-check SPMD order, and `split` derives sub-group ids from it.
     pub(crate) fn seq(&self) -> u64 {
         self.seq
     }
@@ -1268,6 +1261,22 @@ mod tests {
         for (a, b) in run.outputs {
             assert_eq!(a, b, "fallible path must be bitwise identical to wait()");
         }
+    }
+
+    #[test]
+    fn fault_detection_at_issue_is_logged() {
+        // A rank that issues after the poison has landed never waits: the
+        // issue itself must put the detection on the audit trail.
+        let core = CommCore::new(2, 0);
+        let log = TrafficLog::new();
+        core.poison(CommError::PeerFailed { rank: 1, epoch: 0 });
+        let t = Tensor::ones([4]);
+        let out = try_issue(&core, 0, CollKind::AllReduceSum, CommPrecision::F32, &t, None, log.clone());
+        assert_eq!(out.map(drop).unwrap_err(), CommError::PeerFailed { rank: 1, epoch: 0 });
+        let faults = log.fault_events();
+        assert_eq!(faults.len(), 1, "{faults:?}");
+        assert!(faults[0].cause.contains("rank 0 detected at issue of collective #0"));
+        assert!(faults[0].cause.contains("peer rank 1 failed"));
     }
 
     #[test]

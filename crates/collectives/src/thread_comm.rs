@@ -1,86 +1,34 @@
-//! The rendezvous core: a generation-counted slot exchange among N threads.
+//! The per-group core: one process group's chunked-collective engine
+//! ([`crate::nonblocking`]) plus the group id every member derives alike.
 //!
-//! Every collective reduces to one primitive: each rank deposits a payload,
-//! the last arriver publishes the full contribution vector, and everyone
-//! picks it up. A two-phase (arrive/depart) protocol with a generation
-//! counter makes back-to-back collectives safe without per-round allocation
-//! of synchronization state.
-//!
-//! Payloads are `Box<dyn Any>` so the same core can carry tensors, split
-//! metadata, or nested communicator handles.
+//! Every collective — tensor reductions, gathers, `broadcast`, `barrier`,
+//! and `split`'s colour exchange — is an engine round on this core, on both
+//! transports. The thread transport shares one core between all member
+//! threads; the TCP transport gives every process a full-size replica core
+//! whose remote contributions arrive over the wire.
 
-use std::any::Any;
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
-
-use crate::fault::{comm_panic, CommError};
+use crate::fault::CommError;
 use crate::nonblocking::Engine;
 
-pub type Payload = Box<dyn Any + Send + Sync>;
-
-struct State {
-    slots: Vec<Option<Payload>>,
-    arrived: usize,
-    departed: usize,
-    generation: u64,
-    result: Option<Arc<Vec<Payload>>>,
-    poisoned: bool,
-    /// Root cause of the poison (first setter wins).
-    poison_cause: Option<CommError>,
-    /// Remote deposits that raced ahead of the current round (a peer
-    /// process may send its round-`g+1` payload before this process's local
-    /// rank has departed round `g`). One FIFO per rank; drained in order at
-    /// each publish, so per-peer round order is preserved. Always empty on
-    /// all-local (thread-transport) cores.
-    pending: Vec<VecDeque<Payload>>,
-}
-
-/// Shared rendezvous state for one process group, plus the nonblocking
-/// chunked-collective engine ([`crate::nonblocking`]) that shares its
-/// poison lifecycle.
+/// Shared state of one process group.
 pub struct CommCore {
     size: usize,
-    /// How many of the `size` ranks execute in this process. The thread
-    /// transport hosts all of them (`local_ranks == size`); a socket
-    /// transport hosts exactly one, with the other `size - 1` slots fed by
-    /// [`deposit_remote`](CommCore::deposit_remote) from receiver threads.
-    local_ranks: usize,
-    state: Mutex<State>,
-    cv: Condvar,
+    /// Group id: identical on every member (world groups derive it from
+    /// the regroup epoch, split groups from parent id × split round ×
+    /// colour), so members find the same core — or, over TCP, route frames
+    /// to the same replica — without a publish round.
+    gid: u64,
     engine: Engine,
 }
 
 impl CommCore {
-    pub fn new(size: usize) -> Arc<Self> {
-        Self::with_local(size, size)
-    }
-
-    /// A core whose ranks live in other processes: only one rank executes
-    /// locally; the rest are mirrored in by a transport receiver.
-    pub(crate) fn new_remote(size: usize) -> Arc<Self> {
-        Self::with_local(size, 1)
-    }
-
-    fn with_local(size: usize, local_ranks: usize) -> Arc<Self> {
+    pub fn new(size: usize, gid: u64) -> Arc<Self> {
         assert!(size > 0, "process group must be non-empty");
-        assert!(local_ranks >= 1 && local_ranks <= size);
         Arc::new(CommCore {
             size,
-            local_ranks,
-            state: Mutex::new(State {
-                slots: (0..size).map(|_| None).collect(),
-                arrived: 0,
-                departed: 0,
-                generation: 0,
-                result: None,
-                poisoned: false,
-                poison_cause: None,
-                pending: (0..size).map(|_| VecDeque::new()).collect(),
-            }),
-            cv: Condvar::new(),
+            gid,
             engine: Engine::new(size),
         })
     }
@@ -91,233 +39,77 @@ impl CommCore {
     }
 
     #[inline]
+    pub(crate) fn gid(&self) -> u64 {
+        self.gid
+    }
+
+    #[inline]
     pub(crate) fn engine(&self) -> &Engine {
         &self.engine
     }
 
-    /// Mark the group as broken (`cause` says why); wakes all waiters — both
-    /// rendezvous blockers and in-flight [`crate::nonblocking::CommRequest`]
-    /// waiters — which then fail (typed panic or `Err`) instead of
-    /// deadlocking. The first cause wins; later poisons keep the original
-    /// root attribution.
+    /// Mark the group as broken (`cause` says why); wakes every in-flight
+    /// [`crate::nonblocking::CommRequest`] waiter, which then fails (typed
+    /// panic or `Err`) instead of deadlocking. The first cause wins; later
+    /// poisons keep the original root attribution.
     pub fn poison(&self, cause: CommError) {
-        let mut s = self.state.lock();
-        s.poisoned = true;
-        s.poison_cause.get_or_insert(cause);
-        self.cv.notify_all();
-        drop(s);
         self.engine.poison(cause);
-    }
-
-    /// Publish the completed round and drain at most one queued remote
-    /// deposit per rank into the next round's slots. Caller holds the lock
-    /// and has verified `arrived == size`.
-    fn publish(&self, s: &mut State) {
-        debug_assert!(s.result.is_none(), "previous round's result unconsumed");
-        let contributions: Vec<Payload> =
-            s.slots.iter_mut().map(|slot| slot.take().unwrap()).collect();
-        s.result = Some(Arc::new(contributions));
-        s.arrived = 0;
-        s.generation = s.generation.wrapping_add(1);
-        for r in 0..self.size {
-            if let Some(p) = s.pending[r].pop_front() {
-                s.slots[r] = Some(p);
-                s.arrived += 1;
-            }
-        }
-        // The drain can never complete the next round: the local rank's
-        // deposit only ever lands directly (it deposits strictly after
-        // departing, and `pending` holds remote deposits only).
-        debug_assert!(s.arrived < self.size || self.size == 1);
-        self.cv.notify_all();
-    }
-
-    /// Deposit `payload` on behalf of a rank that lives in another process
-    /// (called by a transport receiver thread). Never blocks: a deposit
-    /// that races ahead of the current round is queued and drained at the
-    /// next publish. Deposits into a poisoned core are dropped.
-    pub(crate) fn deposit_remote(&self, rank: usize, payload: Payload) {
-        assert!(rank < self.size, "rank {rank} out of group size {}", self.size);
-        let mut s = self.state.lock();
-        if s.poisoned {
-            return;
-        }
-        if s.slots[rank].is_some() {
-            s.pending[rank].push_back(payload);
-            return;
-        }
-        s.slots[rank] = Some(payload);
-        s.arrived += 1;
-        if s.arrived == self.size {
-            self.publish(&mut s);
-        }
-    }
-
-    /// Deposit `payload` as `rank` and receive everyone's payloads, in rank
-    /// order. Blocks until all `size` ranks of the group have arrived.
-    /// Panics with a typed [`crate::fault::CommPanic`] if the group is
-    /// poisoned; see [`try_exchange`](CommCore::try_exchange).
-    pub fn exchange(&self, rank: usize, payload: Payload) -> Arc<Vec<Payload>> {
-        self.try_exchange(rank, payload, None)
-            .unwrap_or_else(|e| comm_panic(e))
-    }
-
-    /// Fallible, deadline-bounded [`exchange`](CommCore::exchange).
-    ///
-    /// On `Err(Timeout)` this rank's deposit is **rolled back**, so the
-    /// rendezvous round is left exactly as if the call never happened — a
-    /// retry (or a regrouped peer set on a fresh core) starts clean.
-    pub fn try_exchange(
-        &self,
-        rank: usize,
-        payload: Payload,
-        deadline: Option<Duration>,
-    ) -> Result<Arc<Vec<Payload>>, CommError> {
-        assert!(rank < self.size, "rank {rank} out of group size {}", self.size);
-        let start = Instant::now();
-        let mut s = self.state.lock();
-        if s.poisoned {
-            return Err(s.poison_cause.unwrap_or(CommError::Poisoned));
-        }
-        debug_assert!(s.slots[rank].is_none(), "rank {rank} double-arrival");
-        s.slots[rank] = Some(payload);
-        s.arrived += 1;
-
-        if s.arrived == self.size {
-            // Last arriver assembles and publishes the round's result.
-            self.publish(&mut s);
-        } else {
-            let gen = s.generation;
-            while s.generation == gen && !s.poisoned {
-                match deadline {
-                    None => self.cv.wait(&mut s),
-                    Some(d) => {
-                        let waited = start.elapsed();
-                        if waited >= d {
-                            s.slots[rank] = None;
-                            s.arrived -= 1;
-                            return Err(CommError::Timeout { waited });
-                        }
-                        let _ = self.cv.wait_for(&mut s, d - waited);
-                    }
-                }
-            }
-            if s.poisoned {
-                return Err(s.poison_cause.unwrap_or(CommError::Poisoned));
-            }
-        }
-
-        let result = s.result.clone().expect("result published");
-        s.departed += 1;
-        if s.departed == self.local_ranks {
-            s.result = None;
-            s.departed = 0;
-        }
-        Ok(result)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nonblocking::{deposit_remote, try_issue, CollKind, CommPrecision};
+    use crate::traffic::TrafficLog;
+    use dchag_tensor::Tensor;
     use std::thread;
+    use std::time::Duration;
+
+    fn gather(core: &Arc<CommCore>, rank: usize, t: &Tensor, log: &Arc<TrafficLog>) -> Tensor {
+        try_issue(core, rank, CollKind::AllGatherCat { axis: 0 }, CommPrecision::F32, t, None, log.clone())
+            .and_then(|req| req.try_wait(None))
+            .unwrap_or_else(|e| crate::fault::comm_panic(e))
+    }
 
     #[test]
     fn single_rank_exchange_returns_own_payload() {
-        let core = CommCore::new(1);
-        let out = core.exchange(0, Box::new(41u64));
-        assert_eq!(*out[0].downcast_ref::<u64>().unwrap(), 41);
-    }
-
-    #[test]
-    fn four_ranks_see_all_payloads_in_rank_order() {
-        let core = CommCore::new(4);
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|r| {
-                    let core = core.clone();
-                    s.spawn(move || {
-                        let out = core.exchange(r, Box::new(r as u64 * 10));
-                        (0..4)
-                            .map(|i| *out[i].downcast_ref::<u64>().unwrap())
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), vec![0, 10, 20, 30]);
-            }
-        });
-    }
-
-    #[test]
-    fn back_to_back_rounds_do_not_mix() {
-        let core = CommCore::new(3);
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..3)
-                .map(|r| {
-                    let core = core.clone();
-                    s.spawn(move || {
-                        let mut seen = Vec::new();
-                        for round in 0..50u64 {
-                            let out = core.exchange(r, Box::new(round * 3 + r as u64));
-                            let vals: Vec<u64> = (0..3)
-                                .map(|i| *out[i].downcast_ref::<u64>().unwrap())
-                                .collect();
-                            seen.push(vals);
-                        }
-                        seen
-                    })
-                })
-                .collect();
-            for h in handles {
-                let seen = h.join().unwrap();
-                for (round, vals) in seen.iter().enumerate() {
-                    let r = round as u64;
-                    assert_eq!(vals, &vec![r * 3, r * 3 + 1, r * 3 + 2]);
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn remote_deposits_race_ahead_without_mixing_rounds() {
-        // A remote-backed core (one local rank) where the remote peer runs
-        // three full rounds ahead before the local rank arrives at all: the
-        // pending queue must hand the local rank each round's payload in
-        // order, never mixing generations.
-        let core = CommCore::new_remote(2);
-        for round in 0..3u64 {
-            core.deposit_remote(1, Box::new(100 + round));
-        }
-        for round in 0..3u64 {
-            let out = core.exchange(0, Box::new(round));
-            assert_eq!(*out[0].downcast_ref::<u64>().unwrap(), round);
-            assert_eq!(*out[1].downcast_ref::<u64>().unwrap(), 100 + round);
-        }
+        // A one-rank round freezes and completes at its only deposit.
+        let core = CommCore::new(1, 0);
+        let log = TrafficLog::new();
+        let out = gather(&core, 0, &Tensor::full([1, 3], 41.0), &log);
+        assert_eq!(out.dims(), &[1, 3]);
+        assert_eq!(out.to_vec(), vec![41.0; 3]);
+        assert_eq!(core.engine().rounds_len(), 0, "a completed one-rank round holds no state");
     }
 
     #[test]
     fn remote_deposit_into_poisoned_core_is_dropped() {
-        let core = CommCore::new_remote(2);
+        let core = CommCore::new(2, 0);
+        let log = TrafficLog::new();
         core.poison(CommError::PeerFailed { rank: 1, epoch: 0 });
-        core.deposit_remote(1, Box::new(1u64));
-        let err = core.try_exchange(0, Box::new(0u64), None).unwrap_err();
+        let t = Tensor::ones([1]);
+        let kind = CollKind::AllReduceSum;
+        let dropped = deposit_remote(&core, 1, kind, CommPrecision::F32, &t, &log);
+        assert_eq!(dropped.unwrap_err(), CommError::PeerFailed { rank: 1, epoch: 0 });
+        assert_eq!(core.engine().rounds_len(), 0, "the refused deposit left no round behind");
+        let err = try_issue(&core, 0, kind, CommPrecision::F32, &t, None, log).map(drop).unwrap_err();
         assert_eq!(err, CommError::PeerFailed { rank: 1, epoch: 0 });
     }
 
     #[test]
     fn poison_wakes_waiters_with_typed_cause() {
-        let core = CommCore::new(2);
+        let core = CommCore::new(2, 0);
+        let log = TrafficLog::new();
         let c2 = core.clone();
         let waiter = thread::spawn(move || {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                c2.exchange(0, Box::new(0u8));
+                gather(&c2, 0, &Tensor::ones([1, 2]), &log);
             }));
             r.err().and_then(|e| crate::fault::comm_error_of(e.as_ref()))
         });
-        // Give the waiter time to block, then poison.
-        thread::sleep(std::time::Duration::from_millis(20));
+        // Give the waiter time to spin out and park, then poison.
+        thread::sleep(Duration::from_millis(20));
         core.poison(CommError::PeerFailed { rank: 1, epoch: 0 });
         assert_eq!(
             waiter.join().unwrap(),
@@ -328,29 +120,13 @@ mod tests {
 
     #[test]
     fn fault_first_poison_cause_wins() {
-        let core = CommCore::new(2);
+        let core = CommCore::new(2, 0);
         core.poison(CommError::PeerFailed { rank: 0, epoch: 3 });
         core.poison(CommError::Poisoned);
-        let err = core.try_exchange(1, Box::new(()), None).unwrap_err();
-        assert_eq!(err, CommError::PeerFailed { rank: 0, epoch: 3 });
-    }
-
-    #[test]
-    fn fault_try_exchange_timeout_rolls_back_and_retries_clean() {
-        let core = CommCore::new(2);
-        // Nobody else arrives: the deposit must time out and roll back.
-        let err = core
-            .try_exchange(0, Box::new(7u64), Some(Duration::from_millis(10)))
+        let t = Tensor::zeros([0]);
+        let err = try_issue(&core, 1, CollKind::AllReduceSum, CommPrecision::F32, &t, None, TrafficLog::new())
+            .map(drop)
             .unwrap_err();
-        assert!(matches!(err, CommError::Timeout { waited } if waited >= Duration::from_millis(10)));
-        // The rolled-back slot leaves the round clean: a full exchange on the
-        // same core now succeeds from scratch on both ranks.
-        let c2 = core.clone();
-        let peer = thread::spawn(move || {
-            *c2.exchange(1, Box::new(20u64))[0].downcast_ref::<u64>().unwrap()
-        });
-        let out = core.exchange(0, Box::new(10u64));
-        assert_eq!(*out[1].downcast_ref::<u64>().unwrap(), 20);
-        assert_eq!(peer.join().unwrap(), 10);
+        assert_eq!(err, CommError::PeerFailed { rank: 0, epoch: 3 });
     }
 }

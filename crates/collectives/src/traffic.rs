@@ -299,9 +299,9 @@ impl TrafficLog {
         self.chunk_events.lock().clone()
     }
 
-    /// Total ring-model bytes moved by the pipelined (chunked) path. The
-    /// exchange-path collectives (broadcast, barrier, `all_gather_vec`,
-    /// `split`) move payloads by `Arc` clone and do not contribute.
+    /// Total ring-model bytes moved by the chunked engine, which every
+    /// collective runs on. Barriers are zero-element rounds and add 0; a
+    /// broadcast moves only the root's row.
     pub fn bytes_on_wire(&self) -> usize {
         self.wire_bytes.load(Ordering::Relaxed)
     }

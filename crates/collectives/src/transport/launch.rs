@@ -22,7 +22,6 @@ use super::{gid_world, Endpoint, TcpConfig, Transport, TransportFaultPlan};
 use crate::fault::{describe_payload, FaultPlan};
 use crate::group::{Communicator, WorldShared};
 use crate::launch::{silence_expected_fault_panics, RankCtx};
-use crate::thread_comm::CommCore;
 use crate::topology::Topology;
 use crate::traffic::TrafficLog;
 
@@ -50,10 +49,10 @@ fn build_rank(
     world.set_epoch(epoch);
     let ep = Endpoint::new(world.clone(), cfg, rank, listener, addrs, epoch, plan.get(rank));
     ep.start();
-    let core = if world_size == 1 { CommCore::new(1) } else { CommCore::new_remote(world_size) };
-    world.register_core(&core);
-    let link = ep.register_group(gid_world(epoch), (0..world_size).collect(), rank, core.clone());
-    let comm = Communicator::new_tcp_world(rank, world_size, core, world.clone(), link);
+    let members: Vec<usize> = (0..world_size).collect();
+    let core = world.group_core(gid_world(epoch), &members);
+    let link = ep.register_group(members, rank, core.clone());
+    let comm = Communicator::new_world(rank, core, world.clone(), Some(link));
     (comm, world, ep)
 }
 

@@ -1,14 +1,14 @@
-//! Real rank-to-rank transport: TCP sockets behind the same exchange
-//! contract `thread_comm` provides in-process.
+//! Real rank-to-rank transport: TCP sockets behind the same chunked engine
+//! the thread transport runs in-process.
 //!
 //! Every TCP process hosts a **full-size local replica** of the group state:
 //! a [`CommCore`] of the whole group where only the local rank issues
-//! collectives (`local_ranks == 1`). Receiver threads deposit remote
-//! contributions through the exact same `deposit_remote` seams the thread
-//! transport's peer threads would use, so the nonblocking engine, chunk
-//! schedules, `CommPrecision` handling, and the `TrafficLog` run *unmodified*
-//! over real sockets — loopback results are bitwise equal to thread ranks by
-//! construction, not by luck.
+//! collectives. There is one data path: each local engine deposit is fanned
+//! out as one data frame per remote member, and receiver threads deposit
+//! remote contributions through the engine's `deposit_remote` seam, so the
+//! chunk schedules, `CommPrecision` handling, and the `TrafficLog` run
+//! *unmodified* over real sockets — loopback results are bitwise equal to
+//! thread ranks by construction, not by luck.
 //!
 //! Robustness model (the headline):
 //! - length-prefixed frames with a versioned handshake (rank, epoch, world
@@ -48,11 +48,11 @@ use parking_lot::{Condvar, Mutex};
 use crate::fault::CommError;
 use crate::group::WorldShared;
 use crate::nonblocking::{self, CollKind, CommPrecision};
-use crate::thread_comm::{CommCore, Payload};
+use crate::thread_comm::CommCore;
 use crate::traffic::TransportEventKind;
 use frame::{
     encode_frame, validate_handshake, DataFrame, Frame, FrameReader, HandshakeExpect, WireBody,
-    WirePath, VERSION,
+    VERSION,
 };
 
 // ----- configuration --------------------------------------------------------
@@ -60,7 +60,9 @@ use frame::{
 /// Which rank-to-rank transport a world runs over.
 #[derive(Clone, Debug)]
 pub enum Transport {
-    /// In-process thread ranks (the default; zero-copy `Arc` exchange).
+    /// In-process thread ranks (the default): every member deposits into
+    /// one shared core, and the chunk work copies straight out of the
+    /// contributions — no serialization.
     Thread,
     /// Real TCP sockets (loopback or multi-host-shaped), one process-like
     /// endpoint per rank. Collective results are bitwise equal to `Thread`.
@@ -207,14 +209,15 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Group id of the world group at `epoch`. Identical on every rank, distinct
-/// per epoch, so frames from before a regroup route to the abandoned core's
-/// pending bucket instead of corrupting the new group.
+/// per epoch, so frames from before a regroup route to the abandoned core
+/// instead of corrupting the new group.
 pub(crate) fn gid_world(epoch: u64) -> u64 {
     splitmix64(0x5743_4841_4757_4c44 ^ splitmix64(epoch))
 }
 
-/// Group id of the `split_seq`-th split of `parent` for `color`. Every
-/// member computes the same id locally — no leader publish round needed.
+/// Group id of the split of `parent` whose colour round was engine round
+/// `split_seq`, for `color`. Every member computes the same id locally —
+/// no leader publish round needed.
 pub(crate) fn gid_split(parent: u64, split_seq: u64, color: u64) -> u64 {
     splitmix64(parent ^ splitmix64(splitmix64(split_seq) ^ color))
 }
@@ -232,9 +235,9 @@ enum PeerStatus {
 
 struct QItem {
     bytes: Arc<Vec<u8>>,
-    /// `(group, seq<<1 | path_bit)` for data frames — the exact code the
-    /// receiver echoes in its `Ack`. `None` for control frames (never
-    /// retransmitted; regroup robustness comes from periodic re-broadcast).
+    /// `(group, seq)` for data frames — the exact key the receiver echoes
+    /// in its `Ack`. `None` for control frames (never retransmitted;
+    /// regroup robustness comes from periodic re-broadcast).
     ack_key: Option<(u64, u64)>,
     /// Close the connection after writing this item (Bye, injected garbage).
     close_after: bool,
@@ -290,8 +293,7 @@ struct GroupRoute {
     core: Arc<CommCore>,
     /// World ranks by group rank.
     members: Vec<usize>,
-    exch_next: Mutex<Vec<u64>>,
-    issue_next: Mutex<Vec<u64>>,
+    next_seq: Mutex<Vec<u64>>,
 }
 
 /// One rank's TCP endpoint: listener, per-peer connections with heartbeat
@@ -391,21 +393,20 @@ impl Endpoint {
 
     // ----- registration -----------------------------------------------------
 
-    /// Install the routing entry for a group and drain any frames that
-    /// arrived before registration. Returns the send-side handle.
+    /// Install the routing entry for `core`'s group and drain any frames
+    /// that arrived before registration. Returns the send-side handle.
     pub(crate) fn register_group(
         self: &Arc<Self>,
-        gid: u64,
         members: Vec<usize>,
         my_rank: usize,
         core: Arc<CommCore>,
     ) -> Arc<GroupLink> {
         debug_assert_eq!(members[my_rank], self.me);
+        let gid = core.gid();
         let rt = Arc::new(GroupRoute {
             core,
             members: members.clone(),
-            exch_next: Mutex::new(vec![0; members.len()]),
-            issue_next: Mutex::new(vec![0; members.len()]),
+            next_seq: Mutex::new(vec![0; members.len()]),
         });
         // Lock order groups → pending matches `on_data`, so buffering and
         // draining cannot race a frame into a stranded bucket.
@@ -417,15 +418,7 @@ impl Endpoint {
         for (peer, d) in buffered {
             self.dispatch_data(&rt, peer, d);
         }
-        Arc::new(GroupLink {
-            ep: self.clone(),
-            gid,
-            members,
-            me: my_rank,
-            exchange_seq: AtomicU64::new(0),
-            exchange_outstanding: AtomicBool::new(false),
-            split_seq: AtomicU64::new(0),
-        })
+        Arc::new(GroupLink { ep: self.clone(), gid, members, me: my_rank })
     }
 
     // ----- failure mapper ---------------------------------------------------
@@ -1060,17 +1053,8 @@ impl Endpoint {
 
     // ----- dispatch ---------------------------------------------------------
 
-    fn ack_code(d: &DataFrame) -> u64 {
-        let path_bit = match d.path {
-            WirePath::Exchange => 0,
-            WirePath::Issue(_) => 1,
-        };
-        (d.seq << 1) | path_bit
-    }
-
     fn on_data(self: &Arc<Self>, peer: usize, d: DataFrame) {
-        let group = d.group;
-        let code = Self::ack_code(&d);
+        let (group, seq) = (d.group, d.seq);
         let route = {
             let g = self.groups.lock();
             match g.get(&group) {
@@ -1089,7 +1073,7 @@ impl Endpoint {
         }
         // Ack in all cases (dispatched, buffered, or deduped): the frame is
         // durably on this side, so the sender can drop it from `unacked`.
-        self.enqueue_ctrl(peer, &Frame::Ack { group, upto: code });
+        self.enqueue_ctrl(peer, &Frame::Ack { group, upto: seq });
     }
 
     /// Deliver one in-order, exactly-once data frame into the local replica
@@ -1102,10 +1086,7 @@ impl Endpoint {
             return;
         }
         {
-            let mut wm = match d.path {
-                WirePath::Exchange => rt.exch_next.lock(),
-                WirePath::Issue(_) => rt.issue_next.lock(),
-            };
+            let mut wm = rt.next_seq.lock();
             if d.seq < wm[sender] {
                 return; // duplicate of an already-delivered frame
             }
@@ -1120,50 +1101,25 @@ impl Endpoint {
             wm[sender] += 1;
         }
         let precision = d.precision();
-        let decode_tensor = |dims: &[usize], body: WireBody| -> Option<Tensor> {
-            let v: Vec<f32> = match body {
-                WireBody::F32(v) => v,
-                WireBody::Bf16(v) => v.into_iter().map(bf16_to_f32).collect(),
-                WireBody::Unit | WireBody::Num(_) => return None,
-            };
-            if dims.iter().product::<usize>() != v.len() {
-                return None;
-            }
-            Some(Tensor::from_vec(v, dims))
+        let v: Vec<f32> = match d.body {
+            WireBody::F32(v) => v,
+            WireBody::Bf16(v) => v.into_iter().map(bf16_to_f32).collect(),
         };
-        match d.path {
-            WirePath::Exchange => {
-                let payload: Payload = match d.body {
-                    WireBody::Unit => Box::new(()),
-                    WireBody::Num(n) => Box::new(n as usize),
-                    body => match decode_tensor(&d.dims, body) {
-                        Some(t) => Box::new(t),
-                        None => {
-                            self.fail_peer(peer, "sent a tensor frame with inconsistent dims");
-                            return;
-                        }
-                    },
-                };
-                rt.core.deposit_remote(sender, payload);
+        if d.dims.iter().product::<usize>() != v.len() {
+            self.fail_peer(peer, "sent a tensor frame with inconsistent dims");
+            return;
+        }
+        let t = Tensor::from_vec(v, d.dims.as_slice());
+        match nonblocking::deposit_remote(&rt.core, sender, d.kind, precision, &t, &self.world.log) {
+            Ok(seq) if seq == d.seq => {}
+            Ok(seq) => {
+                self.world.log.record_fault(format!(
+                    "transport: engine seq {seq} disagrees with wire seq {} from rank {peer}",
+                    d.seq
+                ));
+                self.world.poison_all(CommError::Poisoned);
             }
-            WirePath::Issue(kind) => {
-                let Some(t) = decode_tensor(&d.dims, d.body) else {
-                    self.fail_peer(peer, "sent a tensor frame with inconsistent dims");
-                    return;
-                };
-                match nonblocking::deposit_remote(&rt.core, sender, kind, precision, &t, &self.world.log)
-                {
-                    Ok(seq) if seq == d.seq => {}
-                    Ok(seq) => {
-                        self.world.log.record_fault(format!(
-                            "transport: engine seq {seq} disagrees with wire seq {} from rank {peer}",
-                            d.seq
-                        ));
-                        self.world.poison_all(CommError::Poisoned);
-                    }
-                    Err(_) => {} // core already poisoned — deposit dropped
-                }
-            }
+            Err(_) => {} // core already poisoned — deposit dropped
         }
     }
 
@@ -1255,13 +1211,8 @@ impl Endpoint {
                 self.agreed.lock().insert(target, mine.clone());
                 self.proposals.lock().retain(|&e, _| e > target);
                 let my_rank = survivors.iter().position(|&r| r == self.me).expect("me survives");
-                let core = if survivors.len() == 1 {
-                    CommCore::new(1)
-                } else {
-                    CommCore::new_remote(survivors.len())
-                };
-                self.world.register_core(&core);
-                let link = self.register_group(gid_world(target), survivors.clone(), my_rank, core.clone());
+                let core = self.world.group_core(gid_world(target), &survivors);
+                let link = self.register_group(survivors.clone(), my_rank, core.clone());
                 return Ok((survivors, my_rank, core, link));
             }
             let waited = start.elapsed();
@@ -1376,18 +1327,10 @@ impl Endpoint {
 
 // ----- send-side group handle -----------------------------------------------
 
-/// Payload of one exchange-path frame (blocking collectives move whole
-/// values; tensors always travel as f32 on this path).
-pub(crate) enum ExchangePayload<'a> {
-    Unit,
-    Num(u64),
-    Tensor(&'a Tensor),
-}
-
 /// The send side of one registered group: fans a local contribution out to
 /// every remote member as sequenced data frames. The matching local deposit
-/// goes through the ordinary `CommCore` path, so the engine never knows
-/// which transport is underneath.
+/// goes through the ordinary engine path, so the engine never knows which
+/// transport is underneath.
 pub(crate) struct GroupLink {
     ep: Arc<Endpoint>,
     gid: u64,
@@ -1395,13 +1338,6 @@ pub(crate) struct GroupLink {
     members: Vec<usize>,
     /// Our group rank.
     me: usize,
-    exchange_seq: AtomicU64,
-    /// True while an exchange-path send has not yet been consumed by a
-    /// completed local exchange. A timed-out `try_exchange` rolls back only
-    /// the *local* deposit — the remote replicas already hold ours — so a
-    /// retry must not resend (it would double-deposit one round ahead).
-    exchange_outstanding: AtomicBool,
-    split_seq: AtomicU64,
 }
 
 impl GroupLink {
@@ -1409,42 +1345,8 @@ impl GroupLink {
         &self.ep
     }
 
-    pub(crate) fn gid(&self) -> u64 {
-        self.gid
-    }
-
-    /// Monotone per-handle split counter — identical on every member since
-    /// splits are collective and issued in program order.
-    pub(crate) fn next_split_seq(&self) -> u64 {
-        self.split_seq.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// Send one exchange-path contribution to every remote member. A no-op
-    /// while a previous exchange send is still unconsumed (timed-out
-    /// `try_exchange` being retried — the remote deposit is already there).
-    pub(crate) fn send_exchange(&self, p: ExchangePayload<'_>) {
-        if self.exchange_outstanding.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let seq = self.exchange_seq.fetch_add(1, Ordering::SeqCst);
-        if !self.ep.fault_gate() {
-            return;
-        }
-        let (dims, body) = match p {
-            ExchangePayload::Unit => (Vec::new(), WireBody::Unit),
-            ExchangePayload::Num(n) => (Vec::new(), WireBody::Num(n)),
-            ExchangePayload::Tensor(t) => (t.dims().to_vec(), WireBody::F32(t.data().to_vec())),
-        };
-        self.fan_out(seq, WirePath::Exchange, dims, body);
-    }
-
-    /// The local exchange completed — the outstanding send was consumed.
-    pub(crate) fn exchange_complete(&self) {
-        self.exchange_outstanding.store(false, Ordering::SeqCst);
-    }
-
-    /// Send one nonblocking-engine contribution (`seq` is the engine
-    /// sequence the local `issue` was assigned — cross-checked on receive).
+    /// Send one engine contribution (`seq` is the engine sequence the
+    /// local `issue` was assigned — cross-checked on receive).
     pub(crate) fn send_issue(&self, seq: u64, kind: CollKind, precision: CommPrecision, t: &Tensor) {
         if !self.ep.fault_gate() {
             return;
@@ -1459,14 +1361,6 @@ impl GroupLink {
                 WireBody::Bf16(t.data().iter().map(|&x| f32_to_bf16(x)).collect())
             }
         };
-        self.fan_out(seq, WirePath::Issue(kind), t.dims().to_vec(), body);
-    }
-
-    fn fan_out(&self, seq: u64, path: WirePath, dims: Vec<usize>, body: WireBody) {
-        let path_bit = match path {
-            WirePath::Exchange => 0,
-            WirePath::Issue(_) => 1,
-        };
         for (gr, &wr) in self.members.iter().enumerate() {
             if gr == self.me {
                 continue;
@@ -1475,11 +1369,11 @@ impl GroupLink {
                 group: self.gid,
                 sender: self.me as u32,
                 seq,
-                path,
-                dims: dims.clone(),
+                kind,
+                dims: t.dims().to_vec(),
                 body: body.clone(),
             };
-            self.ep.enqueue_data(wr, d, (self.gid, (seq << 1) | path_bit));
+            self.ep.enqueue_data(wr, d, (self.gid, seq));
         }
     }
 }
@@ -1534,6 +1428,36 @@ mod tests {
         for out in run.outputs {
             assert_eq!(out.expect("clean run"), vec![3.0; 4]);
         }
+    }
+
+    #[test]
+    fn tcp_endpoint_refuses_a_v1_handshake() {
+        // A peer built before the single data path (frame version 1) is
+        // refused at accept time, with the verdict on the wire and a fault
+        // record — never a data frame decoded under the wrong layout.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
+        let addr = listener.local_addr().expect("listener addr");
+        let world = WorldShared::new(crate::Topology::frontier(2));
+        let ep = Endpoint::new(world.clone(), TcpConfig::default(), 0, listener, vec![addr; 2], 0, None);
+        ep.start();
+        let mut s = TcpStream::connect(addr).expect("dial the endpoint");
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let v1 = Frame::Handshake { version: 1, world: 2, epoch: 0, rank: 1 };
+        s.write_all(&encode_frame(&v1)).expect("send handshake");
+        let mut reader = FrameReader::new();
+        let mut buf = [0u8; 256];
+        let verdict = loop {
+            if let Some(f) = reader.next_frame().expect("well-formed reply") {
+                break f;
+            }
+            let n = s.read(&mut buf).expect("read the verdict");
+            assert!(n > 0, "connection closed without a verdict");
+            reader.feed(&buf[..n]);
+        };
+        assert_eq!(verdict, Frame::HandshakeAck { accept: false, epoch: 0, world: 2 });
+        let faults = world.log.fault_events();
+        assert!(faults.iter().any(|f| f.cause.contains("version mismatch: got 1")), "{faults:?}");
+        ep.abort();
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Nonblocking chunked collectives: cross-crate determinism and failure
 //! invariants.
 //!
-//! 1. the chunked engine reproduces the exchange-path semantics bitwise,
-//!    across chunk boundaries;
+//! 1. the chunked engine's reductions match a rank-order fold over the
+//!    gathered contributions bitwise, across chunk boundaries;
 //! 2. a full DP training step through the overlapped `DdpBinder` produces
 //!    **bitwise-identical** parameters to the blocking
 //!    `sync_grads` path at 1/2/4 ranks;
@@ -21,8 +21,8 @@ use dchag_tensor::ops;
 // ----- engine vs exchange semantics -----------------------------------------
 
 /// The rank-order reduction of the chunked engine must match a manual
-/// rank-order fold over the exchange path's gathered contributions —
-/// bitwise — including shapes that straddle chunk boundaries.
+/// rank-order fold over the `all_gather_vec` contributions — bitwise —
+/// including shapes that straddle chunk boundaries.
 #[test]
 fn chunked_collectives_match_exchange_fold_bitwise() {
     let n = 2 * COMM_CHUNK_ELEMS + 17; // 3 chunks, ragged tail
@@ -30,7 +30,7 @@ fn chunked_collectives_match_exchange_fold_bitwise() {
         let mut rng = Rng::new(10 + ctx.comm.rank() as u64);
         let t = Tensor::randn([n], 1.0, &mut rng);
 
-        // exchange path: Arc-clone gather, then fold in rank order
+        // gather every contribution, then fold in rank order
         let parts = ctx.comm.all_gather_vec(&t);
         let mut manual = parts[0].clone();
         for p in &parts[1..] {

@@ -115,8 +115,14 @@ fn tcp_gone_dark_peer_is_peerfailed_for_survivors_timeout_for_itself() {
         let r = ctx.comm.rank();
         assert_eq!(ctx.comm.all_reduce_sum(&Tensor::ones([8])).to_vec(), vec![3.0; 8]);
         if r == victim {
-            // Our own sends are black-holed: nothing completes, nobody is
-            // blamed — the local surface is a plain deadline Timeout.
+            // Collectives match by issue order, barriers included, so the
+            // victim runs the survivors' program: first the all-reduce they
+            // get stuck in (this send is the one dropped; whether the
+            // peers' halves land before we go dark is timing, so either
+            // outcome is fine), then the barrier no peer ever reaches. Our
+            // own sends are black-holed and nobody is blamed — the local
+            // surface is a plain deadline Timeout.
+            let _ = ctx.comm.try_all_reduce_sum(&Tensor::ones([8]), Some(Duration::from_millis(500)));
             let err = ctx
                 .comm
                 .try_barrier(Some(Duration::from_secs(2)))
