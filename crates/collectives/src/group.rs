@@ -35,7 +35,7 @@ use dchag_tensor::Tensor;
 use crate::transport;
 
 use crate::fault::{comm_panic, CommError};
-use crate::nonblocking::{self, CollKind, CommPrecision, CommRequest};
+use crate::nonblocking::{self, CollKind, CommPrecision, CommRequest, DepositError};
 use crate::thread_comm::CommCore;
 use crate::topology::Topology;
 use crate::traffic::{CollOp, TrafficLog};
@@ -364,7 +364,7 @@ impl Communicator {
         t: &Tensor,
         event_seq: Option<usize>,
     ) -> Result<CommRequest, CommError> {
-        let req = nonblocking::try_issue(
+        let issued = nonblocking::try_issue(
             &self.core,
             self.rank,
             kind,
@@ -372,11 +372,26 @@ impl Communicator {
             t,
             event_seq,
             self.world.log.clone(),
-        )?;
-        if let Some(link) = &self.remote {
-            link.send_issue(req.seq(), kind, precision, t);
+        );
+        match (issued, &self.remote) {
+            (Ok(req), link) => {
+                if let Some(link) = link {
+                    link.send_issue(req.seq(), kind, precision, t);
+                }
+                Ok(req)
+            }
+            (Err(DepositError::Dead(e)), _) => Err(e),
+            // A remote member's frame for this collective disagrees with
+            // ours: fail that member. Its connection closes, so it gets a
+            // typed error too instead of waiting for our contribution.
+            (Err(DepositError::Mismatch { peer, why }), Some(link)) => {
+                link.fail_member(peer, &why);
+                Err(self.core.engine().check_live().err().unwrap_or(CommError::Poisoned))
+            }
+            (Err(DepositError::Mismatch { why, .. }), None) => {
+                unreachable!("a group without remote members refused a deposit: {why}")
+            }
         }
-        Ok(req)
     }
 
     fn try_issue(&self, kind: CollKind, t: &Tensor) -> Result<CommRequest, CommError> {

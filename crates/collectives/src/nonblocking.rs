@@ -38,6 +38,7 @@ use parking_lot::{Condvar, Mutex};
 
 use dchag_tensor::dtype::bf16_round_trip;
 use dchag_tensor::ops;
+use dchag_tensor::pool::pooled_copy;
 use dchag_tensor::{Shape, Tensor};
 
 use crate::fault::{self, CommError, FaultPoint};
@@ -224,7 +225,105 @@ struct RoundEntry {
     arrived: usize,
     retired: usize,
     contribs: Vec<Option<Tensor>>,
+    /// Which contributions came over the wire from another process.
+    remote: Vec<bool>,
     shared: Arc<Round>,
+}
+
+impl RoundEntry {
+    fn open(
+        kind: CollKind,
+        precision: CommPrecision,
+        group: usize,
+        seq: u64,
+        log: &TrafficLog,
+    ) -> Self {
+        RoundEntry {
+            arrived: 0,
+            retired: 0,
+            contribs: vec![None; group],
+            remote: vec![false; group],
+            shared: Arc::new(Round {
+                kind,
+                precision,
+                group,
+                seq,
+                frozen: OnceLock::new(),
+                next_chunk: AtomicUsize::new(0),
+                done_chunks: AtomicUsize::new(0),
+                complete: AtomicBool::new(false),
+                stamps: Mutex::new(Stamps {
+                    issued_us: log.now_us(),
+                    event_seq: None,
+                }),
+            }),
+        }
+    }
+
+    /// Why `t` (a `kind` contribution on a `precision` wire) cannot join
+    /// this round, if it cannot.
+    fn mismatch(&self, kind: CollKind, precision: CommPrecision, t: &Tensor) -> Option<String> {
+        let seq = self.shared.seq;
+        if self.shared.kind != kind {
+            return Some(format!(
+                "{kind:?} at collective #{seq} but a peer issued {:?} — nonblocking collectives \
+                 must be issued in the same order on every rank",
+                self.shared.kind
+            ));
+        }
+        if self.shared.precision != precision {
+            return Some(format!(
+                "collective #{seq} on a {precision:?} wire but a peer used {:?} — every rank of \
+                 a group must agree on the wire precision",
+                self.shared.precision
+            ));
+        }
+        let first = self.contribs.iter().flatten().next()?;
+        let same = match kind {
+            CollKind::AllReduceSum | CollKind::ReduceScatterSum => first.dims() == t.dims(),
+            CollKind::AllGatherCat { axis } => {
+                let mut dims = first.dims().iter().zip(t.dims()).enumerate();
+                first.ndim() == t.ndim() && dims.all(|(d, (a, b))| d == axis || a == b)
+            }
+        };
+        (!same).then(|| {
+            format!(
+                "{kind:?} contribution {:?} at collective #{seq} does not match a peer's {:?}",
+                t.dims(),
+                first.dims()
+            )
+        })
+    }
+
+    /// Rank of the first contribution already deposited, if any.
+    fn first_contributor(&self) -> Option<usize> {
+        self.contribs.iter().position(Option::is_some)
+    }
+}
+
+/// Why a contribution was refused. Nothing was deposited in either case.
+#[derive(Debug, PartialEq)]
+pub(crate) enum DepositError {
+    /// The group is poisoned.
+    Dead(CommError),
+    /// The contribution disagrees with what a rank in *another process*
+    /// deposited for the same collective (kind, wire precision or shape):
+    /// an SPMD violation that only the transport can attribute and fail.
+    /// `peer` is the group rank on the other side of the disagreement.
+    Mismatch { peer: usize, why: String },
+}
+
+/// Shape constraints a contribution must meet on its own.
+fn check_contribution(kind: CollKind, group: usize, t: &Tensor) -> Result<(), String> {
+    match kind {
+        CollKind::ReduceScatterSum if !t.dims().first().is_some_and(|d| d.is_multiple_of(group)) => Err(
+            format!("reduce_scatter axis 0 of {:?} not divisible by group size {group}", t.dims()),
+        ),
+        CollKind::AllGatherCat { axis } if axis >= t.ndim() => {
+            Err(format!("AllGatherCat axis {axis} out of range for {:?}", t.dims()))
+        }
+        _ => Ok(()),
+    }
 }
 
 #[derive(Default)]
@@ -329,8 +428,10 @@ pub struct CommRequest {
 /// Deposit `t` as `rank`'s contribution to its next collective on this core
 /// and return the request handle. `event_seq` attributes chunk events to the
 /// logical traffic-log entry (recorded by group rank 0). Fails if the group
-/// is already poisoned; SPMD violations (kind/shape/precision mismatch)
-/// remain panics — they are program bugs, not runtime faults.
+/// is already poisoned, and with [`DepositError::Mismatch`] if `t` disagrees
+/// with a contribution that arrived from another process. A disagreement
+/// with a rank of this process stays a panic: it is a program bug, not a
+/// runtime fault.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_issue(
     core: &Arc<CommCore>,
@@ -340,7 +441,7 @@ pub(crate) fn try_issue(
     t: &Tensor,
     event_seq: Option<usize>,
     log: Arc<TrafficLog>,
-) -> Result<CommRequest, CommError> {
+) -> Result<CommRequest, DepositError> {
     fault::probe_issue();
     let engine = core.engine();
     let group = core.size();
@@ -350,42 +451,27 @@ pub(crate) fn try_issue(
         // Detection at issue time belongs on the audit trail just like
         // detection inside a wait (`CommRequest::fail`).
         log.record_fault(format!("rank {rank} detected at issue of collective #{seq}: {e}"));
-        return Err(e);
+        return Err(DepositError::Dead(e));
+    }
+    if let Some(entry) = st.rounds.get(&seq) {
+        if let Some(why) = entry.mismatch(kind, precision, t) {
+            match entry.first_contributor() {
+                Some(peer) if entry.remote[peer] => {
+                    return Err(DepositError::Mismatch { peer, why });
+                }
+                _ => panic!("rank {rank} issued {why}"),
+            }
+        }
+    }
+    if let Err(why) = check_contribution(kind, group, t) {
+        panic!("rank {rank}: {why}");
     }
     st.next_seq[rank] += 1;
 
-    let entry = st.rounds.entry(seq).or_insert_with(|| RoundEntry {
-        arrived: 0,
-        retired: 0,
-        contribs: vec![None; group],
-        shared: Arc::new(Round {
-            kind,
-            precision,
-            group,
-            seq,
-            frozen: OnceLock::new(),
-            next_chunk: AtomicUsize::new(0),
-            done_chunks: AtomicUsize::new(0),
-            complete: AtomicBool::new(false),
-            stamps: Mutex::new(Stamps {
-                issued_us: log.now_us(),
-                event_seq: None,
-            }),
-        }),
-    });
-    assert_eq!(
-        entry.shared.kind, kind,
-        "rank {rank} issued {kind:?} at collective #{seq} but a peer issued {:?} — \
-         nonblocking collectives must be issued in the same order on every rank",
-        entry.shared.kind
-    );
-    assert_eq!(
-        entry.shared.precision, precision,
-        "rank {rank} issued collective #{seq} with {precision:?} wire but a peer used {:?} — \
-         every rank of a group must agree on the wire precision",
-        entry.shared.precision
-    );
-    validate_contribution(kind, group, &entry.contribs, t);
+    let entry = st
+        .rounds
+        .entry(seq)
+        .or_insert_with(|| RoundEntry::open(kind, precision, group, seq, &log));
     debug_assert!(entry.contribs[rank].is_none(), "rank {rank} double-issue at #{seq}");
     entry.contribs[rank] = Some(t.clone());
     entry.arrived += 1;
@@ -417,6 +503,10 @@ pub(crate) fn try_issue(
 /// round bookkeeping is retired immediately — a remote rank never waits
 /// here. Returns the engine-assigned sequence number so the transport can
 /// cross-check it against the frame's wire sequence.
+///
+/// A frame that disagrees with this process's round (kind, precision or
+/// shape) is refused with [`DepositError::Mismatch`] before anything is
+/// mutated, so the receiver can fail the sender instead of panicking.
 pub(crate) fn deposit_remote(
     core: &Arc<CommCore>,
     rank: usize,
@@ -424,48 +514,25 @@ pub(crate) fn deposit_remote(
     precision: CommPrecision,
     t: &Tensor,
     log: &TrafficLog,
-) -> Result<u64, CommError> {
+) -> Result<u64, DepositError> {
     let engine = core.engine();
     let group = core.size();
     let mut st = engine.state.lock();
-    engine.check_live()?;
+    engine.check_live().map_err(DepositError::Dead)?;
     let seq = st.next_seq[rank];
+    let mismatch = st.rounds.get(&seq).and_then(|entry| entry.mismatch(kind, precision, t));
+    if let Some(why) = mismatch.or_else(|| check_contribution(kind, group, t).err()) {
+        return Err(DepositError::Mismatch { peer: rank, why });
+    }
     st.next_seq[rank] += 1;
 
-    let entry = st.rounds.entry(seq).or_insert_with(|| RoundEntry {
-        arrived: 0,
-        retired: 0,
-        contribs: vec![None; group],
-        shared: Arc::new(Round {
-            kind,
-            precision,
-            group,
-            seq,
-            frozen: OnceLock::new(),
-            next_chunk: AtomicUsize::new(0),
-            done_chunks: AtomicUsize::new(0),
-            complete: AtomicBool::new(false),
-            stamps: Mutex::new(Stamps {
-                issued_us: log.now_us(),
-                event_seq: None,
-            }),
-        }),
-    });
-    assert_eq!(
-        entry.shared.kind, kind,
-        "remote rank {rank} sent {kind:?} at collective #{seq} but this process issued {:?} — \
-         nonblocking collectives must be issued in the same order on every rank",
-        entry.shared.kind
-    );
-    assert_eq!(
-        entry.shared.precision, precision,
-        "remote rank {rank} sent collective #{seq} with {precision:?} wire but this process \
-         used {:?} — every rank of a group must agree on the wire precision",
-        entry.shared.precision
-    );
-    validate_contribution(kind, group, &entry.contribs, t);
+    let entry = st
+        .rounds
+        .entry(seq)
+        .or_insert_with(|| RoundEntry::open(kind, precision, group, seq, log));
     debug_assert!(entry.contribs[rank].is_none(), "remote rank {rank} double-deposit at #{seq}");
     entry.contribs[rank] = Some(t.clone());
+    entry.remote[rank] = true;
     entry.arrived += 1;
     entry.retired += 1;
     let round = entry.shared.clone();
@@ -481,37 +548,6 @@ pub(crate) fn deposit_remote(
         st.rounds.remove(&seq);
     }
     Ok(seq)
-}
-
-fn validate_contribution(kind: CollKind, group: usize, existing: &[Option<Tensor>], t: &Tensor) {
-    if let Some(first) = existing.iter().flatten().next() {
-        match kind {
-            CollKind::AllReduceSum | CollKind::ReduceScatterSum => assert_eq!(
-                first.dims(),
-                t.dims(),
-                "{kind:?} contribution shape mismatch across ranks"
-            ),
-            CollKind::AllGatherCat { axis } => {
-                assert_eq!(first.ndim(), t.ndim(), "AllGatherCat rank mismatch");
-                for (d, (&a, &b)) in first.dims().iter().zip(t.dims()).enumerate() {
-                    assert!(
-                        d == axis || a == b,
-                        "AllGatherCat non-axis dim {d} mismatch: {a} vs {b}"
-                    );
-                }
-            }
-        }
-    }
-    if kind == CollKind::ReduceScatterSum {
-        assert!(
-            t.dims()[0].is_multiple_of(group),
-            "reduce_scatter axis 0 ({}) not divisible by group size {group}",
-            t.dims()[0]
-        );
-    }
-    if let CollKind::AllGatherCat { axis } = kind {
-        assert!(axis < t.ndim(), "AllGatherCat axis {axis} out of range");
-    }
 }
 
 /// Build the shape-derived chunk schedule and the output buffer; publish the
@@ -829,7 +865,7 @@ impl CommRequest {
             CollKind::AllReduceSum => frozen
                 .result
                 .get_or_init(|| {
-                    Tensor::from_vec(out.to_vec(), frozen.contribs[0].shape().clone())
+                    Tensor::from_vec(pooled_copy(out), frozen.contribs[0].shape().clone())
                 })
                 .clone(),
             CollKind::ReduceScatterSum => {
@@ -839,7 +875,7 @@ impl CommRequest {
                 let mut out_dims = dims.to_vec();
                 out_dims[0] = k;
                 Tensor::from_vec(
-                    out[this.rank * k * row..(this.rank + 1) * k * row].to_vec(),
+                    pooled_copy(&out[this.rank * k * row..(this.rank + 1) * k * row]),
                     Shape::new(&out_dims),
                 )
             }
@@ -850,7 +886,7 @@ impl CommRequest {
                         // Row-major concat along axis 0 is the staging buffer.
                         let mut dims = frozen.contribs[0].dims().to_vec();
                         dims[0] = frozen.contribs.iter().map(|c| c.dims()[0]).sum();
-                        Tensor::from_vec(out.to_vec(), Shape::new(&dims))
+                        Tensor::from_vec(pooled_copy(out), Shape::new(&dims))
                     } else {
                         let parts: Vec<Tensor> = frozen
                             .contribs
@@ -858,7 +894,7 @@ impl CommRequest {
                             .zip(&frozen.gather_offsets)
                             .map(|(c, &off)| {
                                 Tensor::from_vec(
-                                    out[off..off + c.numel()].to_vec(),
+                                    pooled_copy(&out[off..off + c.numel()]),
                                     c.shape().clone(),
                                 )
                             })
@@ -1272,7 +1308,7 @@ mod tests {
         core.poison(CommError::PeerFailed { rank: 1, epoch: 0 });
         let t = Tensor::ones([4]);
         let out = try_issue(&core, 0, CollKind::AllReduceSum, CommPrecision::F32, &t, None, log.clone());
-        assert_eq!(out.map(drop).unwrap_err(), CommError::PeerFailed { rank: 1, epoch: 0 });
+        assert_eq!(out.map(drop).unwrap_err(), DepositError::Dead(CommError::PeerFailed { rank: 1, epoch: 0 }));
         let faults = log.fault_events();
         assert_eq!(faults.len(), 1, "{faults:?}");
         assert!(faults[0].cause.contains("rank 0 detected at issue of collective #0"));

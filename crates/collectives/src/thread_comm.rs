@@ -60,7 +60,7 @@ impl CommCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nonblocking::{deposit_remote, try_issue, CollKind, CommPrecision};
+    use crate::nonblocking::{deposit_remote, try_issue, CollKind, CommPrecision, DepositError};
     use crate::traffic::TrafficLog;
     use dchag_tensor::Tensor;
     use std::thread;
@@ -68,7 +68,8 @@ mod tests {
 
     fn gather(core: &Arc<CommCore>, rank: usize, t: &Tensor, log: &Arc<TrafficLog>) -> Tensor {
         try_issue(core, rank, CollKind::AllGatherCat { axis: 0 }, CommPrecision::F32, t, None, log.clone())
-            .and_then(|req| req.try_wait(None))
+            .expect("a live group accepts the deposit")
+            .try_wait(None)
             .unwrap_or_else(|e| crate::fault::comm_panic(e))
     }
 
@@ -91,10 +92,43 @@ mod tests {
         let t = Tensor::ones([1]);
         let kind = CollKind::AllReduceSum;
         let dropped = deposit_remote(&core, 1, kind, CommPrecision::F32, &t, &log);
-        assert_eq!(dropped.unwrap_err(), CommError::PeerFailed { rank: 1, epoch: 0 });
+        assert_eq!(dropped.unwrap_err(), DepositError::Dead(CommError::PeerFailed { rank: 1, epoch: 0 }));
         assert_eq!(core.engine().rounds_len(), 0, "the refused deposit left no round behind");
         let err = try_issue(&core, 0, kind, CommPrecision::F32, &t, None, log).map(drop).unwrap_err();
-        assert_eq!(err, CommError::PeerFailed { rank: 1, epoch: 0 });
+        assert_eq!(err, DepositError::Dead(CommError::PeerFailed { rank: 1, epoch: 0 }));
+    }
+
+    #[test]
+    fn remote_mismatch_is_refused_before_the_engine_moves() {
+        let core = CommCore::new(2, 0);
+        let log = TrafficLog::new();
+        let kind = CollKind::AllReduceSum;
+        let req = try_issue(&core, 0, kind, CommPrecision::F32, &Tensor::ones([4]), None, log.clone())
+            .expect("live group");
+        let bad = deposit_remote(&core, 1, kind, CommPrecision::F32, &Tensor::ones([5]), &log);
+        assert!(
+            matches!(&bad, Err(DepositError::Mismatch { peer: 1, why }) if why.contains("[5]")),
+            "{bad:?}"
+        );
+        // Nothing moved: rank 1's sequence still points at the open round,
+        // so a matching frame completes it.
+        let seq = deposit_remote(&core, 1, kind, CommPrecision::F32, &Tensor::ones([4]), &log);
+        assert_eq!(seq, Ok(0));
+        assert_eq!(req.try_wait(None).expect("round completes").to_vec(), vec![2.0; 4]);
+    }
+
+    #[test]
+    fn local_issue_against_a_mismatched_remote_frame_is_an_error() {
+        // The remote frame opens the round first; the local issue then
+        // disagrees with it and gets a typed refusal, not a panic.
+        let core = CommCore::new(2, 0);
+        let log = TrafficLog::new();
+        let kind = CollKind::AllReduceSum;
+        assert_eq!(deposit_remote(&core, 1, kind, CommPrecision::F32, &Tensor::ones([5]), &log), Ok(0));
+        let err = try_issue(&core, 0, kind, CommPrecision::F32, &Tensor::ones([4]), None, log)
+            .map(drop)
+            .unwrap_err();
+        assert!(matches!(err, DepositError::Mismatch { peer: 1, .. }), "{err:?}");
     }
 
     #[test]
@@ -127,6 +161,6 @@ mod tests {
         let err = try_issue(&core, 1, CollKind::AllReduceSum, CommPrecision::F32, &t, None, TrafficLog::new())
             .map(drop)
             .unwrap_err();
-        assert_eq!(err, CommError::PeerFailed { rank: 0, epoch: 3 });
+        assert_eq!(err, DepositError::Dead(CommError::PeerFailed { rank: 0, epoch: 3 }));
     }
 }

@@ -10,6 +10,8 @@
 //! the dialing and accepting side use, so stale-epoch or wrong-world
 //! connections are refused identically everywhere.
 
+use dchag_tensor::pool::pooled_zeroed;
+
 use crate::nonblocking::{CollKind, CommPrecision};
 
 /// First four bytes of every handshake ("DCHG") — a connection from
@@ -267,11 +269,12 @@ fn decode_body(body: &[u8]) -> Result<Frame, CodecError> {
                 0 => {
                     let n = c.u64()? as usize;
                     let raw = c.take(n.saturating_mul(4))?;
-                    WireBody::F32(
-                        raw.chunks_exact(4)
-                            .map(|ch| f32::from_bits(u32::from_le_bytes(ch.try_into().unwrap())))
-                            .collect(),
-                    )
+                    // `take` succeeded, so `n` is bounded by the frame.
+                    let mut v = pooled_zeroed(n);
+                    for (x, ch) in v.iter_mut().zip(raw.chunks_exact(4)) {
+                        *x = f32::from_bits(u32::from_le_bytes(ch.try_into().unwrap()));
+                    }
+                    WireBody::F32(v)
                 }
                 1 => {
                     let n = c.u64()? as usize;

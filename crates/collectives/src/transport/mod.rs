@@ -42,12 +42,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dchag_tensor::dtype::{bf16_to_f32, f32_to_bf16};
+use dchag_tensor::pool::pooled_zeroed;
 use dchag_tensor::Tensor;
 use parking_lot::{Condvar, Mutex};
 
 use crate::fault::CommError;
 use crate::group::WorldShared;
-use crate::nonblocking::{self, CollKind, CommPrecision};
+use crate::nonblocking::{self, CollKind, CommPrecision, DepositError};
 use crate::thread_comm::CommCore;
 use crate::traffic::TransportEventKind;
 use frame::{
@@ -1103,7 +1104,13 @@ impl Endpoint {
         let precision = d.precision();
         let v: Vec<f32> = match d.body {
             WireBody::F32(v) => v,
-            WireBody::Bf16(v) => v.into_iter().map(bf16_to_f32).collect(),
+            WireBody::Bf16(v) => {
+                let mut out = pooled_zeroed(v.len());
+                for (o, &b) in out.iter_mut().zip(&v) {
+                    *o = bf16_to_f32(b);
+                }
+                out
+            }
         };
         if d.dims.iter().product::<usize>() != v.len() {
             self.fail_peer(peer, "sent a tensor frame with inconsistent dims");
@@ -1119,7 +1126,10 @@ impl Endpoint {
                 ));
                 self.world.poison_all(CommError::Poisoned);
             }
-            Err(_) => {} // core already poisoned — deposit dropped
+            Err(DepositError::Dead(_)) => {} // core already poisoned — deposit dropped
+            Err(DepositError::Mismatch { why, .. }) => {
+                self.fail_peer(peer, &format!("SPMD mismatch: {why}"));
+            }
         }
     }
 
@@ -1343,6 +1353,12 @@ pub(crate) struct GroupLink {
 impl GroupLink {
     pub(crate) fn endpoint(&self) -> &Arc<Endpoint> {
         &self.ep
+    }
+
+    /// Fail group member `peer` on this endpoint (recorded in the fault log
+    /// as an SPMD mismatch, poisoning every live core with `PeerFailed`).
+    pub(crate) fn fail_member(&self, peer: usize, why: &str) {
+        self.ep.fail_peer(self.members[peer], &format!("SPMD mismatch: {why}"));
     }
 
     /// Send one engine contribution (`seq` is the engine sequence the

@@ -8,6 +8,7 @@
 //! of highly-correlated spectral channels sharing spatial structure, on
 //! which MAE pretraining converges.
 
+use dchag_tensor::pool::pooled_zeroed;
 use dchag_tensor::{Rng, Tensor};
 
 use crate::field::smooth_field;
@@ -116,7 +117,7 @@ impl HyperspectralDataset {
         let bright = smooth_field(h, w, (h / 6).max(2), false, &mut rng);
         let lambdas = self.wavelengths();
 
-        let mut data = vec![0.0f32; c * h * w];
+        let mut data = pooled_zeroed(c * h * w);
         for (bi, &nm) in lambdas.iter().enumerate() {
             for p in 0..h * w {
                 let l = leaf[p];
@@ -135,9 +136,9 @@ impl HyperspectralDataset {
     /// A batch of cubes `[B, bands, h, w]`.
     pub fn batch(&self, indices: &[usize]) -> Tensor {
         let (h, w, c) = (self.cfg.h, self.cfg.w, self.cfg.bands);
-        let mut data = Vec::with_capacity(indices.len() * c * h * w);
-        for &i in indices {
-            data.extend_from_slice(self.image(i).data());
+        let mut data = pooled_zeroed(indices.len() * c * h * w);
+        for (&i, cube) in indices.iter().zip(data.chunks_exact_mut(c * h * w)) {
+            cube.copy_from_slice(self.image(i).data());
         }
         Tensor::from_vec(data, [indices.len(), c, h, w])
     }

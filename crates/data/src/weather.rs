@@ -14,6 +14,7 @@
 //! v10), plus two static fields (orography, land-sea mask) to reach 80
 //! channels at the default 15 levels.
 
+use dchag_tensor::pool::pooled_zeroed;
 use dchag_tensor::{Rng, Tensor};
 
 use crate::field::{advect_x, smooth_field};
@@ -162,9 +163,9 @@ impl WeatherDataset {
     pub fn state(&self, t: usize) -> Tensor {
         let (h, w) = (self.cfg.h, self.cfg.w);
         let c = self.channels();
-        let mut data = Vec::with_capacity(c * h * w);
-        for slot in 0..c {
-            data.extend_from_slice(&self.field_at(slot, t));
+        let mut data = pooled_zeroed(c * h * w);
+        for (slot, plane) in data.chunks_exact_mut(h * w).enumerate() {
+            plane.copy_from_slice(&self.field_at(slot, t));
         }
         Tensor::from_vec(data, [1, c, h, w])
     }
@@ -174,11 +175,12 @@ impl WeatherDataset {
     pub fn forecast_batch(&self, times: &[usize], lead: usize) -> (Tensor, Tensor) {
         let (h, w) = (self.cfg.h, self.cfg.w);
         let c = self.channels();
-        let mut xin = Vec::with_capacity(times.len() * c * h * w);
-        let mut tgt = Vec::with_capacity(times.len() * c * h * w);
-        for &t in times {
-            xin.extend_from_slice(self.state(t).data());
-            tgt.extend_from_slice(self.state(t + lead).data());
+        let mut xin = pooled_zeroed(times.len() * c * h * w);
+        let mut tgt = pooled_zeroed(times.len() * c * h * w);
+        let states = xin.chunks_exact_mut(c * h * w).zip(tgt.chunks_exact_mut(c * h * w));
+        for (&t, (x, y)) in times.iter().zip(states) {
+            x.copy_from_slice(self.state(t).data());
+            y.copy_from_slice(self.state(t + lead).data());
         }
         (
             Tensor::from_vec(xin, [times.len(), c, h, w]),

@@ -9,6 +9,7 @@
 //! per-(channel, dim) mixing weight, linear in C with ~`C·D` parameters.
 
 use dchag_tensor::prelude::*;
+use dchag_tensor::pool::pooled_zeroed;
 use dchag_tensor::Shape;
 
 use crate::attention::MultiHeadAttention;
@@ -107,7 +108,7 @@ impl LinearChannelMix {
         let (xid, wid, bid) = (x.id(), wv.id(), bv.id());
         let (xval, wval, bval) = (x.value().clone(), wv.value().clone(), bv.value().clone());
 
-        let mut out = vec![0.0f32; n * d];
+        let mut out = pooled_zeroed(n * d);
         for ni in 0..n {
             let o = &mut out[ni * d..(ni + 1) * d];
             o.copy_from_slice(bval.data());
@@ -122,7 +123,7 @@ impl LinearChannelMix {
         let out = Tensor::from_vec(out, Shape::new(&[n, d]));
         tape.custom(out, move |g, emit| {
             // dx[n,c,:] = g[n,:] ⊙ w[c,:]
-            let mut dx = vec![0.0f32; n * c * d];
+            let mut dx = pooled_zeroed(n * c * d);
             // dw[c,:]  = Σ_n x[n,c,:] ⊙ g[n,:]
             let mut dw = vec![0.0f32; c * d];
             // db = Σ_n g[n,:]

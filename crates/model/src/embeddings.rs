@@ -2,6 +2,7 @@
 //! embeddings, and the metadata (lead-time) token.
 
 use dchag_tensor::prelude::*;
+use dchag_tensor::pool::pooled_zeroed;
 use dchag_tensor::{init, Shape};
 
 /// Sub-stream tag for channel-ID embedding init (see tokenizer for W/B).
@@ -182,9 +183,9 @@ pub fn tile_patch_mask(mask: &Tensor, b: usize, c: usize) -> Tensor {
     assert_eq!(mask.dims()[0], 1);
     assert_eq!(mask.dims()[1], 1);
     let (p, q) = (mask.dims()[2], mask.dims()[3]);
-    let mut data = Vec::with_capacity(b * c * p * q);
-    for _ in 0..b * c {
-        data.extend_from_slice(mask.data());
+    let mut data = pooled_zeroed(b * c * p * q);
+    for tile in data.chunks_exact_mut(p * q) {
+        tile.copy_from_slice(mask.data());
     }
     Tensor::from_vec(data, [b, c, p, q])
 }

@@ -4,6 +4,7 @@
 
 use dchag_tensor::ops;
 use dchag_tensor::prelude::*;
+use dchag_tensor::pool::pooled_zeroed;
 use dchag_tensor::Shape;
 
 use crate::config::{ModelConfig, TreeConfig};
@@ -186,7 +187,7 @@ impl<E: EncoderBackbone> MaeModel<E> {
         let cfg = self.enc.config();
         let row = cfg.out_channels * cfg.patch * cfg.patch;
         let p = cfg.num_patches();
-        let mut data = vec![0.0f32; b * p * row];
+        let mut data = pooled_zeroed(b * p * row);
         for bi in 0..b {
             for &m in &mask.masked {
                 let off = (bi * p + m) * row;

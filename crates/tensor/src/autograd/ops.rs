@@ -3,10 +3,17 @@
 //! Each method runs the forward kernel from [`crate::ops`] immediately and
 //! records a closure implementing the adjoint. Saved tensors are `Arc`
 //! clones — no data is copied for bookkeeping.
+//!
+//! An op over inputs that all lack a gradient records as a constant (see
+//! the module docs of [`super`]). Where an adjoint's per-input work costs
+//! something — a GEMM, a reduction, an elementwise product — it reads the
+//! input flags captured at recording time, skips the gradients no one
+//! needs, and saves only the tensors the remaining gradients read.
 
 use super::{Tape, Var};
 use crate::dtype::DType;
 use crate::ops as k;
+use crate::pool::pooled_zeroed;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -15,7 +22,7 @@ impl Tape {
 
     pub fn add(&self, a: &Var, b: &Var) -> Var {
         let (ia, ib) = (a.id, b.id);
-        self.custom(k::add(a.value(), b.value()), move |g, emit| {
+        self.op(k::add(a.value(), b.value()), &[a, b], move |g, emit| {
             emit(ia, g.clone());
             emit(ib, g.clone());
         })
@@ -23,24 +30,35 @@ impl Tape {
 
     pub fn sub(&self, a: &Var, b: &Var) -> Var {
         let (ia, ib) = (a.id, b.id);
-        self.custom(k::sub(a.value(), b.value()), move |g, emit| {
-            emit(ia, g.clone());
-            emit(ib, k::scale(g, -1.0));
+        let (ga, gb) = (a.needs_grad, b.needs_grad);
+        self.op(k::sub(a.value(), b.value()), &[a, b], move |g, emit| {
+            if ga {
+                emit(ia, g.clone());
+            }
+            if gb {
+                emit(ib, k::scale(g, -1.0));
+            }
         })
     }
 
     pub fn mul(&self, a: &Var, b: &Var) -> Var {
         let (ia, ib) = (a.id, b.id);
-        let (va, vb) = (a.value().clone(), b.value().clone());
-        self.custom(k::mul(a.value(), b.value()), move |g, emit| {
-            emit(ia, k::mul(g, &vb));
-            emit(ib, k::mul(g, &va));
+        // dA reads B and dB reads A: save each only if its reader runs.
+        let vb = a.needs_grad.then(|| b.value().clone());
+        let va = b.needs_grad.then(|| a.value().clone());
+        self.op(k::mul(a.value(), b.value()), &[a, b], move |g, emit| {
+            if let Some(vb) = &vb {
+                emit(ia, k::mul(g, vb));
+            }
+            if let Some(va) = &va {
+                emit(ib, k::mul(g, va));
+            }
         })
     }
 
     pub fn scale(&self, a: &Var, alpha: f32) -> Var {
         let ia = a.id;
-        self.custom(k::scale(a.value(), alpha), move |g, emit| {
+        self.op(k::scale(a.value(), alpha), &[a], move |g, emit| {
             emit(ia, k::scale(g, alpha));
         })
     }
@@ -48,19 +66,27 @@ impl Tape {
     /// Broadcast-add a `[n]` bias over the last axis.
     pub fn add_bias(&self, a: &Var, bias: &Var) -> Var {
         let (ia, ib) = (a.id, bias.id);
-        self.custom(k::add_bias(a.value(), bias.value()), move |g, emit| {
+        let gb = bias.needs_grad;
+        self.op(k::add_bias(a.value(), bias.value()), &[a, bias], move |g, emit| {
             emit(ia, g.clone());
-            emit(ib, k::sum_to_last(g));
+            if gb {
+                emit(ib, k::sum_to_last(g));
+            }
         })
     }
 
     /// Broadcast-multiply a `[n]` gain over the last axis.
     pub fn mul_last(&self, a: &Var, gain: &Var) -> Var {
         let (ia, ig) = (a.id, gain.id);
-        let (va, vg) = (a.value().clone(), gain.value().clone());
-        self.custom(k::mul_last(a.value(), gain.value()), move |g, emit| {
-            emit(ia, k::mul_last(g, &vg));
-            emit(ig, k::sum_to_last(&k::mul(g, &va)));
+        let vg = a.needs_grad.then(|| gain.value().clone());
+        let va = gain.needs_grad.then(|| a.value().clone());
+        self.op(k::mul_last(a.value(), gain.value()), &[a, gain], move |g, emit| {
+            if let Some(vg) = &vg {
+                emit(ia, k::mul_last(g, vg));
+            }
+            if let Some(va) = &va {
+                emit(ig, k::sum_to_last(&k::mul(g, va)));
+            }
         })
     }
 
@@ -73,7 +99,7 @@ impl Tape {
     /// the tensor README's "Precision tiers").
     pub fn to_dtype(&self, a: &Var, dtype: DType) -> Var {
         let ia = a.id;
-        self.custom(a.value().to_dtype(dtype), move |g, emit| {
+        self.op(a.value().to_dtype(dtype), &[a], move |g, emit| {
             emit(ia, g.clone());
         })
     }
@@ -83,12 +109,17 @@ impl Tape {
     /// `[..., k] × [k, n]`, leading axes of `a` folded (the Linear layer).
     pub fn matmul(&self, a: &Var, b: &Var) -> Var {
         let (ia, ib) = (a.id, b.id);
-        let (va, vb) = (a.value().clone(), b.value().clone());
-        self.custom(k::matmul(a.value(), b.value()), move |g, emit| {
+        let a_dims = a.dims().to_vec();
+        let vb = a.needs_grad.then(|| b.value().clone());
+        let va = b.needs_grad.then(|| a.value().clone());
+        self.op(k::matmul(a.value(), b.value()), &[a, b], move |g, emit| {
             // dA = dY · Bᵀ ; dB = Aᵀ · dY  (2-D folded forms)
-            let da = k::matmul_nt(g, &vb);
-            emit(ia, da.reshape(va.dims()));
-            emit(ib, k::matmul_tn(&va, g));
+            if let Some(vb) = &vb {
+                emit(ia, k::matmul_nt(g, vb).reshape(&a_dims));
+            }
+            if let Some(va) = &va {
+                emit(ib, k::matmul_tn(va, g));
+            }
         })
     }
 
@@ -96,14 +127,23 @@ impl Tape {
     /// bias broadcast rides in the GEMM output buffer).
     pub fn matmul_bias(&self, a: &Var, w: &Var, bias: &Var) -> Var {
         let (ia, iw, ib) = (a.id, w.id, bias.id);
-        let (va, vw) = (a.value().clone(), w.value().clone());
-        self.custom(
+        let a_dims = a.dims().to_vec();
+        let vw = a.needs_grad.then(|| w.value().clone());
+        let va = w.needs_grad.then(|| a.value().clone());
+        let gb = bias.needs_grad;
+        self.op(
             k::matmul_bias(a.value(), w.value(), bias.value()),
+            &[a, w, bias],
             move |g, emit| {
-                let da = k::matmul_nt(g, &vw);
-                emit(ia, da.reshape(va.dims()));
-                emit(iw, k::matmul_tn(&va, g));
-                emit(ib, k::sum_to_last(g));
+                if let Some(vw) = &vw {
+                    emit(ia, k::matmul_nt(g, vw).reshape(&a_dims));
+                }
+                if let Some(va) = &va {
+                    emit(iw, k::matmul_tn(va, g));
+                }
+                if gb {
+                    emit(ib, k::sum_to_last(g));
+                }
             },
         )
     }
@@ -112,14 +152,21 @@ impl Tape {
     /// node, saving only the pre-activation for the backward pass.
     pub fn linear_gelu(&self, a: &Var, w: &Var, bias: &Var) -> Var {
         let (ia, iw, ib) = (a.id, w.id, bias.id);
-        let (va, vw) = (a.value().clone(), w.value().clone());
+        let a_dims = a.dims().to_vec();
+        let vw = a.needs_grad.then(|| w.value().clone());
+        let va = w.needs_grad.then(|| a.value().clone());
         let (y, pre) = k::linear_gelu(a.value(), w.value(), bias.value());
-        self.custom(y, move |g, emit| {
-            // dpre = gelu'(pre) ⊙ g, then the usual Linear adjoints.
+        self.op(y, &[a, w, bias], move |g, emit| {
+            // dpre = gelu'(pre) ⊙ g, then the usual Linear adjoints. The
+            // bias gradient falls out of the same sweep, so it is always
+            // computed (and dropped if the bias is a constant).
             let (dpre, dbias) = k::add_bias_gelu_backward(&pre, g);
-            let da = k::matmul_nt(&dpre, &vw);
-            emit(ia, da.reshape(va.dims()));
-            emit(iw, k::matmul_tn(&va, &dpre));
+            if let Some(vw) = &vw {
+                emit(ia, k::matmul_nt(&dpre, vw).reshape(&a_dims));
+            }
+            if let Some(va) = &va {
+                emit(iw, k::matmul_tn(va, &dpre));
+            }
             emit(ib, dbias);
         })
     }
@@ -127,11 +174,16 @@ impl Tape {
     /// Batched `[B,m,k] × [B,k,n]`.
     pub fn bmm(&self, a: &Var, b: &Var) -> Var {
         let (ia, ib) = (a.id, b.id);
-        let (va, vb) = (a.value().clone(), b.value().clone());
-        self.custom(k::bmm(a.value(), b.value()), move |g, emit| {
+        let vb = a.needs_grad.then(|| b.value().clone());
+        let va = b.needs_grad.then(|| a.value().clone());
+        self.op(k::bmm(a.value(), b.value()), &[a, b], move |g, emit| {
             // Y = A·B : dA = dY·Bᵀ (bmm_nt applies the transpose), dB = Aᵀ·dY.
-            emit(ia, k::bmm_nt(g, &vb));
-            emit(ib, k::bmm_tn(&va, g));
+            if let Some(vb) = &vb {
+                emit(ia, k::bmm_nt(g, vb));
+            }
+            if let Some(va) = &va {
+                emit(ib, k::bmm_tn(va, g));
+            }
         })
     }
 
@@ -145,13 +197,19 @@ impl Tape {
     /// `[B,m,n]` score tensor (and its extra tape node).
     pub fn bmm_nt_scaled(&self, q: &Var, key: &Var, alpha: f32) -> Var {
         let (iq, ik) = (q.id, key.id);
-        let (vq, vk) = (q.value().clone(), key.value().clone());
-        self.custom(
+        let vk = q.needs_grad.then(|| key.value().clone());
+        let vq = key.needs_grad.then(|| q.value().clone());
+        self.op(
             k::bmm_nt_scaled(q.value(), key.value(), alpha),
+            &[q, key],
             move |g, emit| {
                 // Y = α·Q Kᵀ : dQ = α·dY · K ; dK = α·dYᵀ · Q
-                emit(iq, k::bmm_scaled(g, &vk, alpha));
-                emit(ik, k::bmm_tn_scaled(g, &vq, alpha));
+                if let Some(vk) = &vk {
+                    emit(iq, k::bmm_scaled(g, vk, alpha));
+                }
+                if let Some(vq) = &vq {
+                    emit(ik, k::bmm_tn_scaled(g, vq, alpha));
+                }
             },
         )
     }
@@ -170,7 +228,7 @@ impl Tape {
         let (vq, vk, vv) = (q.value().clone(), k.value().clone(), v.value().clone());
         let (out, lse) = k::flash_attention(q.value(), k.value(), v.value(), scale);
         let out_saved = out.clone();
-        self.custom(out, move |g, emit| {
+        self.op(out, &[q, k, v], move |g, emit| {
             let (dq, dk, dv) =
                 k::flash_attention_backward(&vq, &vk, &vv, scale, &out_saved, &lse, g);
             emit(iq, dq);
@@ -184,7 +242,7 @@ impl Tape {
     pub fn gelu(&self, a: &Var) -> Var {
         let ia = a.id;
         let va = a.value().clone();
-        self.custom(k::gelu(a.value()), move |g, emit| {
+        self.op(k::gelu(a.value()), &[a], move |g, emit| {
             let dx = va.zip(g, |x, gg| k::gelu_grad_scalar(x) * gg);
             emit(ia, dx);
         })
@@ -195,7 +253,7 @@ impl Tape {
     pub fn add_bias_gelu(&self, a: &Var, bias: &Var) -> Var {
         let (ia, ib) = (a.id, bias.id);
         let (y, pre) = k::add_bias_gelu(a.value(), bias.value());
-        self.custom(y, move |g, emit| {
+        self.op(y, &[a, bias], move |g, emit| {
             let (dx, dbias) = k::add_bias_gelu_backward(&pre, g);
             emit(ia, dx);
             emit(ib, dbias);
@@ -209,7 +267,7 @@ impl Tape {
         let (iy, ip) = (y.id, pool_w.id);
         let (vy, vp) = (y.value().clone(), pool_w.value().clone());
         let (pooled, weights) = k::softmax_pool(y.value(), pool_w.value());
-        self.custom(pooled, move |g, emit| {
+        self.op(pooled, &[y, pool_w], move |g, emit| {
             let (dy, dpw) = k::softmax_pool_backward(&vy, &vp, &weights, g);
             emit(iy, dy);
             emit(ip, dpw);
@@ -220,7 +278,7 @@ impl Tape {
         let ia = a.id;
         let y = k::softmax_last(a.value());
         let y_saved = y.clone();
-        self.custom(y, move |g, emit| {
+        self.op(y, &[a], move |g, emit| {
             emit(ia, k::softmax_last_backward(&y_saved, g));
         })
     }
@@ -229,7 +287,7 @@ impl Tape {
         let (ix, ig, ib) = (x.id, gamma.id, beta.id);
         let (vx, vg) = (x.value().clone(), gamma.value().clone());
         let (y, ctx) = k::layernorm(x.value(), gamma.value(), beta.value());
-        self.custom(y, move |g, emit| {
+        self.op(y, &[x, gamma, beta], move |g, emit| {
             let (dx, dgamma, dbeta) = k::layernorm_backward(&vx, &vg, &ctx, g);
             emit(ix, dx);
             emit(ig, dgamma);
@@ -242,21 +300,21 @@ impl Tape {
     pub fn reshape(&self, a: &Var, dims: &[usize]) -> Var {
         let ia = a.id;
         let orig: Vec<usize> = a.value().dims().to_vec();
-        self.custom(a.value().reshape(dims), move |g, emit| {
+        self.op(a.value().reshape(dims), &[a], move |g, emit| {
             emit(ia, g.reshape(&orig));
         })
     }
 
     pub fn transpose_last2(&self, a: &Var) -> Var {
         let ia = a.id;
-        self.custom(k::transpose_last2(a.value()), move |g, emit| {
+        self.op(k::transpose_last2(a.value()), &[a], move |g, emit| {
             emit(ia, k::transpose_last2(g));
         })
     }
 
     pub fn swap_axes12(&self, a: &Var) -> Var {
         let ia = a.id;
-        self.custom(k::swap_axes12(a.value()), move |g, emit| {
+        self.op(k::swap_axes12(a.value()), &[a], move |g, emit| {
             emit(ia, k::swap_axes12(g));
         })
     }
@@ -265,7 +323,7 @@ impl Tape {
         let ids: Vec<usize> = parts.iter().map(|v| v.id).collect();
         let sizes: Vec<usize> = parts.iter().map(|v| v.dims()[axis]).collect();
         let tensors: Vec<&Tensor> = parts.iter().map(|v| v.value()).collect();
-        self.custom(k::concat(&tensors, axis), move |g, emit| {
+        self.op(k::concat(&tensors, axis), parts, move |g, emit| {
             let mut start = 0;
             for (id, &len) in ids.iter().zip(&sizes) {
                 emit(*id, k::slice(g, axis, start, len));
@@ -277,7 +335,7 @@ impl Tape {
     pub fn slice(&self, a: &Var, axis: usize, start: usize, len: usize) -> Var {
         let ia = a.id;
         let orig: Vec<usize> = a.value().dims().to_vec();
-        self.custom(k::slice(a.value(), axis, start, len), move |g, emit| {
+        self.op(k::slice(a.value(), axis, start, len), &[a], move |g, emit| {
             emit(ia, k::slice_backward(g, &orig, axis, start));
         })
     }
@@ -287,7 +345,7 @@ impl Tape {
         let ia = a.id;
         let s = a.dims()[1];
         let idx = idx.to_vec();
-        self.custom(k::select_axis1(a.value(), &idx), move |g, emit| {
+        self.op(k::select_axis1(a.value(), &idx), &[a], move |g, emit| {
             emit(ia, k::select_axis1_backward(g, &idx, s));
         })
     }
@@ -297,7 +355,7 @@ impl Tape {
         let it = table.id;
         let r = table.dims()[0];
         let idx = idx.to_vec();
-        self.custom(k::gather_rows(table.value(), &idx), move |g, emit| {
+        self.op(k::gather_rows(table.value(), &idx), &[table], move |g, emit| {
             emit(it, k::gather_rows_backward(g, &idx, r));
         })
     }
@@ -305,7 +363,7 @@ impl Tape {
     /// Broadcast `[s, d] -> [b, s, d]` (e.g. positional embeddings).
     pub fn broadcast_to_batch(&self, a: &Var, b: usize) -> Var {
         let ia = a.id;
-        self.custom(k::broadcast_to_batch(a.value(), b), move |g, emit| {
+        self.op(k::broadcast_to_batch(a.value(), b), &[a], move |g, emit| {
             emit(ia, k::sum_over_batch(g));
         })
     }
@@ -315,7 +373,7 @@ impl Tape {
     pub fn sum_all(&self, a: &Var) -> Var {
         let ia = a.id;
         let shape = a.value().shape().clone();
-        self.custom(k::sum_all(a.value()), move |g, emit| {
+        self.op(k::sum_all(a.value()), &[a], move |g, emit| {
             emit(ia, Tensor::full(shape.clone(), g.item()));
         })
     }
@@ -324,7 +382,7 @@ impl Tape {
         let ia = a.id;
         let shape = a.value().shape().clone();
         let inv = 1.0 / a.value().numel() as f32;
-        self.custom(k::mean_all(a.value()), move |g, emit| {
+        self.op(k::mean_all(a.value()), &[a], move |g, emit| {
             emit(ia, Tensor::full(shape.clone(), g.item() * inv));
         })
     }
@@ -333,10 +391,10 @@ impl Tape {
     pub fn mean_axis1(&self, a: &Var) -> Var {
         let ia = a.id;
         let (b, c, d) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-        self.custom(k::mean_axis1(a.value()), move |g, emit| {
+        self.op(k::mean_axis1(a.value()), &[a], move |g, emit| {
             // broadcast g/c over the c axis
             let inv = 1.0 / c as f32;
-            let mut out = vec![0.0f32; b * c * d];
+            let mut out = pooled_zeroed(b * c * d);
             for bi in 0..b {
                 let grow = &g.data()[bi * d..(bi + 1) * d];
                 for ci in 0..c {

@@ -19,6 +19,7 @@ pub mod init;
 pub mod ops;
 pub(crate) mod par;
 pub mod param;
+pub mod pool;
 pub mod rng;
 pub mod scratch;
 pub mod shape;

@@ -21,6 +21,7 @@
 
 use crate::ops::gemm::{gemm_serial_or_small, Epilogue, GemmLayout};
 use crate::par;
+use crate::pool::pooled_zeroed;
 use crate::scratch::with_scratch;
 use crate::simd::{self, exp_fast};
 use crate::shape::Shape;
@@ -97,8 +98,8 @@ impl Slabs {
 pub fn flash_attention(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> (Tensor, Tensor) {
     let (b, sq, sk, d) = attn_dims(q, k, v);
     let q_tiles = sq.div_ceil(FLASH_BR).max(1);
-    let mut out = vec![0.0f32; b * sq * d];
-    let mut lse = vec![0.0f32; b * sq];
+    let mut out = pooled_zeroed(b * sq * d);
+    let mut lse = pooled_zeroed(b * sq);
     if b * sq * sk * d > 0 {
         let out_s = Slabs::new(&mut out);
         let lse_s = Slabs::new(&mut lse);
@@ -248,9 +249,9 @@ pub fn flash_attention_backward(
         },
     );
 
-    let mut dq = vec![0.0f32; b * sq * d];
-    let mut dk = vec![0.0f32; b * sk * d];
-    let mut dv = vec![0.0f32; b * sk * d];
+    let mut dq = pooled_zeroed(b * sq * d);
+    let mut dk = pooled_zeroed(b * sk * d);
+    let mut dv = pooled_zeroed(b * sk * d);
     if b * sq * sk * d > 0 {
         let par_ok = b * sq * sk * d >= par::PAR_FLOPS;
 

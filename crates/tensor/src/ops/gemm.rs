@@ -45,6 +45,7 @@
 use rayon::prelude::*;
 
 use crate::dtype::DType;
+use crate::pool::pooled_zeroed;
 use crate::scratch::{with_scratch, with_scratch_zeroed};
 use crate::shape::Shape;
 use crate::simd::{self, Isa, MicroEpi};
@@ -826,7 +827,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a2.dims()[0], a2.dims()[1]);
     let (k2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul inner dims {} vs {}", a.shape(), b.shape());
-    let mut c = vec![0.0f32; m * n];
+    let mut c = pooled_zeroed(m * n);
     gemm_op(GemmLayout::NN, 1.0, Operand::from_tensor(&a2), Operand::from_tensor(b), &mut c, m, k, n);
     // Preserve leading batch axes of `a`.
     let mut out_dims = a.dims().to_vec();
@@ -841,7 +842,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a2.dims()[0], a2.dims()[1]);
     let (n, k2) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul_nt inner dims {} vs {}", a.shape(), b.shape());
-    let mut c = vec![0.0f32; m * n];
+    let mut c = pooled_zeroed(m * n);
     gemm_op(GemmLayout::NT, 1.0, Operand::from_tensor(&a2), Operand::from_tensor(b), &mut c, m, k, n);
     let mut out_dims = a.dims().to_vec();
     *out_dims.last_mut().unwrap() = n;
@@ -855,7 +856,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k, m) = (a2.dims()[0], a2.dims()[1]);
     let (k2, n) = (b2.dims()[0], b2.dims()[1]);
     assert_eq!(k, k2, "matmul_tn inner dims {} vs {}", a.shape(), b.shape());
-    let mut c = vec![0.0f32; m * n];
+    let mut c = pooled_zeroed(m * n);
     gemm_op(GemmLayout::TN, 1.0, Operand::from_tensor(&a2), Operand::from_tensor(&b2), &mut c, m, k, n);
     Tensor::from_vec(c, [m, n])
 }
@@ -1018,7 +1019,7 @@ fn bmm_driver(
     n: usize,
 ) -> Tensor {
     let (a_sz, b_sz) = (m * k, k * n);
-    let mut c = vec![0.0f32; bs * m * n];
+    let mut c = pooled_zeroed(bs * m * n);
     let (ao, bo) = (Operand::from_tensor(a), Operand::from_tensor(b));
     if bs == 1 {
         gemm_op(layout, alpha, ao, bo, &mut c, m, k, n);

@@ -16,6 +16,7 @@
 use rayon::prelude::*;
 
 use crate::par::{self, PAR_NUMEL};
+use crate::pool::pooled_zeroed;
 use crate::tensor::Tensor;
 
 pub const LN_EPS: f32 = 1e-5;
@@ -41,7 +42,7 @@ pub fn layernorm(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> (Tensor, LayerNor
     assert_eq!(beta.numel(), n, "beta len");
     let rows = x.shape().rows();
     let (g, b) = (gamma.data(), beta.data());
-    let mut out = vec![0.0f32; x.numel()];
+    let mut out = pooled_zeroed(x.numel());
     // (mean, rstd) interleaved so one parallel sweep fills both.
     let mut stats = vec![0.0f32; rows * 2];
 
@@ -76,7 +77,7 @@ pub fn layernorm_backward(
     let n = x.shape().last();
     let rows = x.shape().rows();
     let g = gamma.data();
-    let mut dx = vec![0.0f32; x.numel()];
+    let mut dx = pooled_zeroed(x.numel());
 
     // dx rows are independent.
     let dx_row = |r: usize, dx_row: &mut [f32]| {

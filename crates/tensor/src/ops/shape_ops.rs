@@ -1,6 +1,7 @@
 //! Data-movement kernels: transposes, concatenation, slicing, gathers and
 //! image patchification.
 
+use crate::pool::pooled_zeroed;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -11,7 +12,7 @@ pub fn transpose_last2(t: &Tensor) -> Tensor {
     let (m, n) = (t.dims()[nd - 2], t.dims()[nd - 1]);
     let batch = t.numel() / (m * n);
     let src = t.data();
-    let mut out = vec![0.0f32; t.numel()];
+    let mut out = pooled_zeroed(t.numel());
     for b in 0..batch {
         let s = &src[b * m * n..(b + 1) * m * n];
         let d = &mut out[b * m * n..(b + 1) * m * n];
@@ -35,7 +36,7 @@ pub fn swap_axes12(t: &Tensor) -> Tensor {
     assert_eq!(t.ndim(), 4, "swap_axes12 wants 4-D, got {}", t.shape());
     let (a, b, c, d) = (t.dims()[0], t.dims()[1], t.dims()[2], t.dims()[3]);
     let src = t.data();
-    let mut out = vec![0.0f32; t.numel()];
+    let mut out = pooled_zeroed(t.numel());
     for ai in 0..a {
         for bi in 0..b {
             for ci in 0..c {
@@ -68,7 +69,7 @@ pub fn concat(tensors: &[&Tensor], axis: usize) -> Tensor {
 
     let outer: usize = out_dims[..axis].iter().product();
     let inner: usize = out_dims[axis + 1..].iter().product();
-    let mut out = vec![0.0f32; outer * axis_total * inner];
+    let mut out = pooled_zeroed(outer * axis_total * inner);
     let out_stride = axis_total * inner;
 
     let mut offset = 0usize;
@@ -97,7 +98,7 @@ pub fn slice(t: &Tensor, axis: usize, start: usize, len: usize) -> Tensor {
     );
     let outer: usize = t.dims()[..axis].iter().product();
     let inner: usize = t.dims()[axis + 1..].iter().product();
-    let mut out = vec![0.0f32; outer * len * inner];
+    let mut out = pooled_zeroed(outer * len * inner);
     for o in 0..outer {
         let src = &t.data()[(o * ax + start) * inner..(o * ax + start + len) * inner];
         out[o * len * inner..(o + 1) * len * inner].copy_from_slice(src);
@@ -119,7 +120,7 @@ pub fn slice_backward(
     let ax = orig_dims[axis];
     let outer: usize = orig_dims[..axis].iter().product();
     let inner: usize = orig_dims[axis + 1..].iter().product();
-    let mut out = vec![0.0f32; orig_dims.iter().product()];
+    let mut out = pooled_zeroed(orig_dims.iter().product());
     for o in 0..outer {
         let dst = &mut out[(o * ax + start) * inner..(o * ax + start + len) * inner];
         let src = &grad.data()[o * len * inner..(o + 1) * len * inner];
@@ -134,7 +135,7 @@ pub fn slice_backward(
 pub fn gather_rows(t: &Tensor, idx: &[usize]) -> Tensor {
     assert_eq!(t.ndim(), 2, "gather_rows wants 2-D, got {}", t.shape());
     let (r, d) = (t.dims()[0], t.dims()[1]);
-    let mut out = vec![0.0f32; idx.len() * d];
+    let mut out = pooled_zeroed(idx.len() * d);
     for (i, &row) in idx.iter().enumerate() {
         assert!(row < r, "gather index {row} out of {r}");
         out[i * d..(i + 1) * d].copy_from_slice(&t.data()[row * d..(row + 1) * d]);
@@ -146,7 +147,7 @@ pub fn gather_rows(t: &Tensor, idx: &[usize]) -> Tensor {
 /// a zero `[r, d]` matrix. Duplicate indices accumulate.
 pub fn gather_rows_backward(grad: &Tensor, idx: &[usize], r: usize) -> Tensor {
     let d = grad.dims()[1];
-    let mut out = vec![0.0f32; r * d];
+    let mut out = pooled_zeroed(r * d);
     for (i, &row) in idx.iter().enumerate() {
         let dst = &mut out[row * d..(row + 1) * d];
         let src = &grad.data()[i * d..(i + 1) * d];
@@ -162,7 +163,7 @@ pub fn gather_rows_backward(grad: &Tensor, idx: &[usize], r: usize) -> Tensor {
 pub fn select_axis1(t: &Tensor, idx: &[usize]) -> Tensor {
     assert_eq!(t.ndim(), 3, "select_axis1 wants 3-D, got {}", t.shape());
     let (b, s, d) = (t.dims()[0], t.dims()[1], t.dims()[2]);
-    let mut out = vec![0.0f32; b * idx.len() * d];
+    let mut out = pooled_zeroed(b * idx.len() * d);
     for bi in 0..b {
         for (i, &j) in idx.iter().enumerate() {
             assert!(j < s, "select index {j} out of {s}");
@@ -177,7 +178,7 @@ pub fn select_axis1(t: &Tensor, idx: &[usize]) -> Tensor {
 pub fn select_axis1_backward(grad: &Tensor, idx: &[usize], s: usize) -> Tensor {
     let (b, k, d) = (grad.dims()[0], grad.dims()[1], grad.dims()[2]);
     assert_eq!(k, idx.len());
-    let mut out = vec![0.0f32; b * s * d];
+    let mut out = pooled_zeroed(b * s * d);
     for bi in 0..b {
         for (i, &j) in idx.iter().enumerate() {
             let dst = &mut out[(bi * s + j) * d..(bi * s + j + 1) * d];
@@ -202,7 +203,7 @@ pub fn patchify(img: &Tensor, p: usize) -> Tensor {
     let (gh, gw) = (h / p, w / p);
     let np = gh * gw;
     let src = img.data();
-    let mut out = vec![0.0f32; img.numel()];
+    let mut out = pooled_zeroed(img.numel());
     for bc in 0..b * c {
         let plane = &src[bc * h * w..(bc + 1) * h * w];
         let dst = &mut out[bc * np * p * p..(bc + 1) * np * p * p];
@@ -228,7 +229,7 @@ pub fn unpatchify(t: &Tensor, h: usize, w: usize, p: usize) -> Tensor {
     let (gh, gw) = (h / p, w / p);
     assert_eq!(np, gh * gw, "patch count mismatch");
     let src = t.data();
-    let mut out = vec![0.0f32; b * c * h * w];
+    let mut out = pooled_zeroed(b * c * h * w);
     for bc in 0..b * c {
         let patches = &src[bc * np * pp..(bc + 1) * np * pp];
         let plane = &mut out[bc * h * w..(bc + 1) * h * w];
@@ -250,9 +251,9 @@ pub fn unpatchify(t: &Tensor, h: usize, w: usize, p: usize) -> Tensor {
 pub fn broadcast_to_batch(t: &Tensor, b: usize) -> Tensor {
     assert_eq!(t.ndim(), 2);
     let (s, d) = (t.dims()[0], t.dims()[1]);
-    let mut out = Vec::with_capacity(b * s * d);
-    for _ in 0..b {
-        out.extend_from_slice(t.data());
+    let mut out = pooled_zeroed(b * s * d);
+    for rep in out.chunks_exact_mut(s * d) {
+        rep.copy_from_slice(t.data());
     }
     Tensor::from_vec(out, [b, s, d])
 }
@@ -261,7 +262,7 @@ pub fn broadcast_to_batch(t: &Tensor, b: usize) -> Tensor {
 pub fn sum_over_batch(grad: &Tensor) -> Tensor {
     assert_eq!(grad.ndim(), 3);
     let (b, s, d) = (grad.dims()[0], grad.dims()[1], grad.dims()[2]);
-    let mut out = vec![0.0f32; s * d];
+    let mut out = pooled_zeroed(s * d);
     for bi in 0..b {
         for (o, &g) in out
             .iter_mut()

@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use crate::device::{current_tracker, MemCounter};
 use crate::dtype::{bf16_to_f32, DType};
+use crate::pool::{self, pooled_copy, pooled_zeroed};
 use crate::rng::Rng;
 use crate::shape::Shape;
 
@@ -64,7 +65,9 @@ impl Storage {
 }
 
 /// Reference-counted buffer that charges the allocating thread's
-/// [`MemCounter`] and releases it on drop.
+/// [`MemCounter`] and releases it on drop. A large f32 buffer then goes to
+/// the process-wide free list in [`crate::pool`] for the next kernel output
+/// of the same length.
 pub(crate) struct Buf {
     pub(crate) storage: Storage,
     tracker: Option<Arc<MemCounter>>,
@@ -84,6 +87,9 @@ impl Drop for Buf {
     fn drop(&mut self) {
         if let Some(t) = &self.tracker {
             t.sub(self.storage.size_bytes());
+        }
+        if let Storage::F32(v) = &mut self.storage {
+            pool::recycle(std::mem::take(v));
         }
     }
 }
@@ -132,7 +138,7 @@ impl Tensor {
 
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
-        Tensor::from_vec(vec![0.0; shape.numel()], shape)
+        Tensor::from_vec(pooled_zeroed(shape.numel()), shape)
     }
 
     pub fn ones(shape: impl Into<Shape>) -> Self {
@@ -141,7 +147,9 @@ impl Tensor {
 
     pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
-        Tensor::from_vec(vec![value; shape.numel()], shape)
+        let mut data = pooled_zeroed(shape.numel());
+        data.fill(value);
+        Tensor::from_vec(data, shape)
     }
 
     pub fn scalar(value: f32) -> Self {
@@ -190,7 +198,7 @@ impl Tensor {
                 Tensor::from_bf16(out, self.shape.clone())
             }
             (Storage::Bf16(v), DType::F32) => {
-                let mut out = vec![0.0f32; v.len()];
+                let mut out = pooled_zeroed(v.len());
                 crate::simd::bf16_to_f32_sweep(v, &mut out);
                 Tensor::from_vec(out, self.shape.clone())
             }
@@ -284,7 +292,7 @@ impl Tensor {
     /// Copy out an owned f32 Vec (for interop / assertions; decodes bf16).
     pub fn to_vec(&self) -> Vec<f32> {
         match &self.buf.storage {
-            Storage::F32(v) => v.clone(),
+            Storage::F32(v) => pooled_copy(v),
             Storage::Bf16(v) => v.iter().map(|&b| bf16_to_f32(b)).collect(),
         }
     }
@@ -311,7 +319,7 @@ impl Tensor {
                 Storage::Bf16(data) => data.iter().map(|&b| bf16_to_f32(b)).collect(),
             },
             Err(shared) => match &shared.storage {
-                Storage::F32(v) => v.clone(),
+                Storage::F32(v) => pooled_copy(v),
                 Storage::Bf16(v) => v.iter().map(|&b| bf16_to_f32(b)).collect(),
             },
         }
@@ -327,9 +335,22 @@ impl Tensor {
 
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.dims(), other.dims(), "zip shape mismatch");
-        let data = (0..self.numel())
-            .map(|i| f(self.at(i), other.at(i)))
-            .collect();
+        let data = match (&self.buf.storage, &other.buf.storage) {
+            (Storage::F32(a), Storage::F32(b)) => {
+                let mut out = pooled_copy(a);
+                for (x, &y) in out.iter_mut().zip(b) {
+                    *x = f(*x, y);
+                }
+                out
+            }
+            _ => {
+                let mut out = pooled_zeroed(self.numel());
+                for (i, x) in out.iter_mut().enumerate() {
+                    *x = f(self.at(i), other.at(i));
+                }
+                out
+            }
+        };
         Tensor::from_vec(data, self.shape.clone())
     }
 

@@ -157,6 +157,33 @@ fn tcp_gone_dark_peer_is_peerfailed_for_survivors_timeout_for_itself() {
 }
 
 #[test]
+fn tcp_spmd_shape_mismatch_fails_both_ranks_with_typed_error() {
+    // Rank 0 all-reduces 4 elements, rank 1 five: an SPMD bug across
+    // processes. The rank that sees both contributions first refuses the
+    // other's and fails that peer (no receiver thread panics); the failed
+    // peer's connection closes, so the other rank fails fast too instead
+    // of waiting out its deadline.
+    let deadline = Duration::from_secs(5);
+    let started = std::time::Instant::now();
+    let run = run_tcp_ranks(2, fast_cfg(), |ctx| {
+        let r = ctx.comm.rank();
+        ctx.comm
+            .try_all_reduce_sum(&Tensor::ones([4 + r]), Some(deadline))
+            .expect_err("contributions of different shapes cannot reduce")
+    });
+    assert!(started.elapsed() < deadline, "mismatch took {:?} to surface", started.elapsed());
+    for r in 0..2 {
+        let err = run.outputs[r].as_ref().expect("the rank returns, not panics");
+        assert_eq!(*err, CommError::PeerFailed { rank: 1 - r, epoch: 0 }, "rank {r}");
+    }
+    let faults: Vec<_> = (0..2).flat_map(|r| run.traffic[r].fault_events()).collect();
+    assert!(
+        faults.iter().any(|f| f.cause.contains("SPMD mismatch") && f.cause.contains("[4]")),
+        "fault logs: {faults:?}"
+    );
+}
+
+#[test]
 fn tcp_black_hole_reads_times_out_victim_while_peers_complete() {
     let victim = 0;
     let plan = TransportFaultPlan::for_rank(victim, TransportFault::BlackHoleReads);
